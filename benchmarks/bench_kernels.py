@@ -10,29 +10,18 @@ import random
 from time import perf_counter
 
 from lefschetz import exactla, family, kernels
-from lefschetz.polyring import ideal_degree_slice, monomial_basis
+from lefschetz.polyring import monomial_basis, slice_rows
 from lefschetz.quotient import GradedQuotient, fixed_candidate
 
 
 def family_slice_rows(params_tuple, degree):
-    """Integer relation rows of the ideal slice feeding rref_int."""
+    """Integer live rows of the ideal slice, exactly as rref_int receives
+    them: multiples of monomial generators are dead columns and never reach
+    the kernel."""
     ideal = family.build_ideal(family.validate(*params_tuple))
-    from lefschetz.polyring import _basis_index, mono_mul
-
-    index = _basis_index(3, degree)
-    rows = []
-    for g in ideal.generators:
-        shift = degree - g.degree
-        if shift < 0:
-            continue
-        for m in monomial_basis(3, shift):
-            rows.append(
-                {
-                    index[mono_mul(t, m)]: c.numerator
-                    for t, c in g.terms.items()
-                }
-            )
-    return rows, len(monomial_basis(3, degree))
+    _, rows = slice_rows(ideal, degree)
+    int_rows = [exactla._integer_row(r) for r in rows]
+    return int_rows, len(monomial_basis(3, degree))
 
 
 def bench(fn, reps):

@@ -482,10 +482,13 @@ def _cmd_lemma(args) -> int:
         raise _UsageError("--trials must be nonnegative")
     rng = random.Random(args.seed)
     counterexamples = []
+    all_equal = all_positive = True
     for _ in range(args.trials):
         size = rng.randint(2, args.n)
         matrix = family.random_sn(size, args.max_entry, rng)
         check = family.sn_det_identity(matrix)
+        all_equal = all_equal and check.equal
+        all_positive = all_positive and check.positive
         if not (check.equal and check.positive):
             counterexamples.append(
                 {
@@ -503,10 +506,8 @@ def _cmd_lemma(args) -> int:
                 "max_size": args.n,
                 "max_entry": args.max_entry,
                 "seed": args.seed,
-                "all_equal": not any(
-                    ce for ce in counterexamples
-                ),
-                "all_positive": not counterexamples,
+                "all_equal": all_equal,
+                "all_positive": all_positive,
                 "counterexamples": counterexamples,
             },
             indent=2,

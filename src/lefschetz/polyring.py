@@ -5,7 +5,9 @@ Monomials are bare exponent tuples, ordered graded-lexicographically with
 earlier variables heaviest, so a degree-d basis lists the pure power of the
 first variable first.  An ideal is presented by finitely many homogeneous
 generators; its degree-d slice is the echelonized span of all monomial
-multiples of the generators landing in degree d.
+multiples of the generators landing in degree d.  Multiples of monomial
+generators are unit rows, so they are taken out as dead columns before
+elimination.
 """
 
 from __future__ import annotations
@@ -289,34 +291,74 @@ class DegreeSlice:
         return self.echelon.rank
 
 
-def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
-    """Slice of the ideal in the given degree; rank 0 when no generator
-    divides into it."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    basis = monomial_basis(ideal.nvars, degree)
-    index = _basis_index(ideal.nvars, degree)
-    rows = []
+def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
+    """Dead columns and live rows of the ideal's degree-d Macaulay matrix.
+
+    A generator with a single term contributes no rows: every degree-d
+    multiple of it is a unit row, so its column index is collected in the
+    returned set of dead columns instead.  Each multiple of a generator with
+    two or more terms becomes a ``{column: coefficient}`` row with its
+    entries in dead columns dropped; rows left empty are skipped.
+    """
+    nvars = ideal.nvars
+    index = _basis_index(nvars, degree)
+    dead = set()
+    wide = []
     for g in ideal.generators:
         shift = degree - g.degree
         if shift < 0:
             continue
-        terms = list(g.terms.items())
-        for m in monomial_basis(ideal.nvars, shift):
-            rows.append({index[mono_mul(t, m)]: c for t, c in terms})
-    matrix = RatMatrix.from_row_dicts(rows, len(basis))
-    if matrix.rows == 0:
-        matrix = RatMatrix.zero(0, len(basis))
-    ech = exactla.rref(matrix)
-    pivot_set = set(ech.pivot_columns)
-    standard_cols = tuple(i for i in range(len(basis)) if i not in pivot_set)
+        multiples = monomial_basis(nvars, shift)
+        if len(g.terms) == 1:
+            (t,) = g.terms
+            dead.update(index[mono_mul(t, m)] for m in multiples)
+        else:
+            wide.append((list(g.terms.items()), multiples))
+    rows = []
+    for terms, multiples in wide:
+        for m in multiples:
+            row = {}
+            for t, c in terms:
+                col = index[mono_mul(t, m)]
+                if col not in dead:
+                    row[col] = c
+            if row:
+                rows.append(row)
+    return dead, rows
+
+
+def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
+    """Slice of the ideal in the given degree; rank 0 when no generator
+    divides into it.
+
+    Monomial generators are handled as dead columns (see :func:`slice_rows`):
+    only the rows of generators with two or more terms are echelonized.
+    """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    basis = monomial_basis(ideal.nvars, degree)
+    ncols = len(basis)
+    dead, rows = slice_rows(ideal, degree)
+    # The row space is span{e_c : c dead} (+) span{live rows restricted to
+    # live columns}, since each row differs from its restriction by a
+    # combination of dead unit vectors.  Unit rows at dead columns and the
+    # reduced echelon rows of the live part, which vanish on dead columns,
+    # are together reduced and echelon once sorted by pivot.  The reduced
+    # echelon form is unique, so this equals the rref of the full matrix:
+    # same pivot columns, same entries, same standard monomials.
+    live = {}
+    if rows:
+        ech = exactla.rref(RatMatrix.from_row_dicts(rows, ncols))
+        live = dict(zip(ech.pivot_columns, ech.matrix.row_dicts()))
+    pivot_set = dead.union(live)
+    pivots = tuple(sorted(pivot_set))
+    merged = RatMatrix.from_row_dicts(
+        [live.get(c) or {c: _ONE} for c in pivots], ncols
+    )
+    ech = EchelonForm(merged, pivots, len(pivots))
+    standard_cols = tuple(i for i in range(ncols) if i not in pivot_set)
     standard = tuple(basis[i] for i in standard_cols)
     return DegreeSlice(degree, basis, ech, standard, standard_cols)
-
-
-def multiply(poly: HomogeneousPoly, mono: Monomial) -> HomogeneousPoly:
-    """Monomial multiple of a homogeneous polynomial."""
-    return poly.multiply_monomial(mono)
 
 
 def eliminate_linear_form(

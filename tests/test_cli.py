@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -256,6 +257,22 @@ def test_lemma_deterministic_and_clean(capsys):
     assert record["counterexamples"] == []
     code, out2, _ = run(argv, capsys)
     assert out1 == out2
+
+
+def test_lemma_summary_fields_use_their_own_flags(capsys, monkeypatch):
+    real = family.sn_det_identity
+
+    def unequal_but_positive(matrix):
+        check = real(matrix)
+        return dataclasses.replace(check, equal=False, positive=True)
+
+    monkeypatch.setattr(family, "sn_det_identity", unequal_but_positive)
+    code, out, _ = run(["lemma", "--n", "4", "--trials", "3"], capsys)
+    assert code == cli.EXIT_INTERNAL
+    record = json.loads(out)
+    assert record["all_equal"] is False
+    assert record["all_positive"] is True
+    assert len(record["counterexamples"]) == 3
 
 
 def test_lemma_bad_size_exit_three(capsys):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import exactla
+from lefschetz.exactla import RatMatrix
 from lefschetz.polyring import (
     HomogeneousPoly,
     IdealPresentation,
@@ -276,3 +278,66 @@ def test_product_degree_and_ring_axioms(p, q):
     assert prod.degree == p.degree + q.degree
     assert prod == q * p
     assert p * (q + q) == prod + prod
+
+
+def _generic_slice_echelon(ideal, degree):
+    """rref over every generator-multiple row, dead columns kept."""
+    basis = monomial_basis(ideal.nvars, degree)
+    index = {m: i for i, m in enumerate(basis)}
+    rows = []
+    for g in ideal.generators:
+        for m in monomial_basis(ideal.nvars, degree - g.degree):
+            rows.append(
+                {index[t]: c for t, c in g.multiply_monomial(m).terms.items()}
+            )
+    return exactla.rref(RatMatrix.from_row_dicts(rows, len(basis)))
+
+
+_COEFFS = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
+
+
+@st.composite
+def slice_ideals(draw):
+    """Ideals in 2 or 3 variables mixing (scaled) monomial generators with
+    generators of two or three terms, sometimes repeating a generator."""
+    nvars = draw(st.sampled_from((2, 3)))
+    shape = draw(st.sampled_from(("mixed", "monomials_only", "no_monomials")))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 3))
+        basis = monomial_basis(nvars, degree)
+        if shape == "monomials_only":
+            nterms = 1
+        elif shape == "no_monomials":
+            nterms = draw(st.integers(2, 3))
+        else:
+            nterms = draw(st.integers(1, 3))
+        nterms = min(nterms, len(basis))
+        monos = draw(
+            st.lists(
+                st.sampled_from(basis),
+                min_size=nterms,
+                max_size=nterms,
+                unique=True,
+            )
+        )
+        coeffs = draw(st.lists(_COEFFS, min_size=nterms, max_size=nterms))
+        gens.append(HomogeneousPoly(nvars, degree, dict(zip(monos, coeffs))))
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    return IdealPresentation(nvars, gens)
+
+
+@given(slice_ideals())
+@settings(max_examples=60, deadline=None)
+def test_degree_slice_matches_generic_rref(ideal):
+    for degree in range(7):
+        got = ideal_degree_slice(ideal, degree)
+        want = _generic_slice_echelon(ideal, degree)
+        assert got.echelon.pivot_columns == want.pivot_columns
+        assert got.echelon.matrix == want.matrix
+        pivots = set(want.pivot_columns)
+        assert got.standard_columns == tuple(
+            i for i in range(len(got.basis)) if i not in pivots
+        )
+
