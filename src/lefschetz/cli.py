@@ -91,11 +91,22 @@ def _tuple_seed(seed, params: family.GorensteinParams) -> str:
     return f"{seed}|{p.a},{p.b},{p.c},{p.beta},{p.gamma}"
 
 
-def _compute_record(job) -> dict:
-    a, b, c, beta, gamma, trials, bound, seed, with_slp = job
+def _verdict_record(
+    params: family.GorensteinParams, trials, bound, seed, with_slp: bool
+) -> dict:
+    """The record of one tuple, shared by single verdicts and sweeps.
+
+    The family quotient R/I is Artinian Gorenstein: I = (J : y^beta) for the
+    complete intersection J of its first three generators, and the quotient
+    of the Gorenstein algebra R/J by the annihilator of an element is again
+    Gorenstein.  So WLP is decided by the middle-degree criterion.
+    """
     start = perf_counter()
-    params = family.validate(a, b, c, beta, gamma)
-    q = GradedQuotient(family.build_ideal(params), degree_cap=a + b + c)
+    q = GradedQuotient(
+        family.build_ideal(params),
+        degree_cap=params.a + params.b + params.c,
+        gorenstein=True,
+    )
     data = q.hilbert_data()
     coverage = family.classify(params)
     strategy = SearchStrategy(
@@ -105,11 +116,11 @@ def _compute_record(job) -> dict:
     slp_verdict = q.check_slp(strategy).verdict if with_slp else None
     ms = round((perf_counter() - start) * 1000.0, 1)
     return {
-        "a": a,
-        "b": b,
-        "c": c,
-        "beta": beta,
-        "gamma": gamma,
+        "a": params.a,
+        "b": params.b,
+        "c": params.c,
+        "beta": params.beta,
+        "gamma": params.gamma,
         "D": data.socle_degree,
         "h": list(data.h),
         "covered": coverage.covered,
@@ -123,6 +134,12 @@ def _compute_record(job) -> dict:
         "slp_verdict": slp_verdict,
         "ms": ms,
     }
+
+
+def _compute_record(job) -> dict:
+    a, b, c, beta, gamma, trials, bound, seed, with_slp = job
+    params = family.validate(a, b, c, beta, gamma)
+    return _verdict_record(params, trials, bound, seed, with_slp)
 
 
 def _record_csv_row(record: dict, with_slp: bool) -> list:
@@ -344,48 +361,20 @@ def _build_parser() -> _Parser:
 
 
 def _single_verdict(args, want_slp: bool) -> int:
-    start = perf_counter()
     params = family.validate(args.a, args.b, args.c, args.beta, args.gamma)
-    q = GradedQuotient(
-        family.build_ideal(params), degree_cap=args.a + args.b + args.c
+    record = _verdict_record(
+        params, args.trials, args.bound, args.seed, want_slp
     )
-    data = q.hilbert_data()
-    coverage = family.classify(params)
-    strategy = SearchStrategy(
-        trials=args.trials, bound=args.bound, seed=_tuple_seed(args.seed, params)
-    )
-    report = q.check_wlp(strategy)
-    slp_verdict = q.check_slp(strategy).verdict if want_slp else None
-    ms = round((perf_counter() - start) * 1000.0, 1)
-    record = {
-        "a": params.a,
-        "b": params.b,
-        "c": params.c,
-        "beta": params.beta,
-        "gamma": params.gamma,
-        "D": data.socle_degree,
-        "h": list(data.h),
-        "covered": coverage.covered,
-        "flags": list(coverage.true_flags()),
-        "verdict": report.verdict,
-        "certificate": (
-            report.certificate_form.as_text()
-            if report.certificate_form is not None
-            else None
-        ),
-        "slp_verdict": slp_verdict,
-        "ms": ms,
-    }
     print(json.dumps(record, indent=2, sort_keys=True))
-    if coverage.covered and report.verdict != HOLDS:
+    if record["covered"] and record["verdict"] != HOLDS:
         print(
             "INTERNAL ERROR: tuple "
-            f"{params.as_tuple()} is covered by {coverage.true_flags()} "
-            f"but the verdict is {report.verdict}",
+            f"{params.as_tuple()} is covered by {tuple(record['flags'])} "
+            f"but the verdict is {record['verdict']}",
             file=sys.stderr,
         )
         return EXIT_INTERNAL
-    decisive = slp_verdict if want_slp else report.verdict
+    decisive = record["slp_verdict"] if want_slp else record["verdict"]
     return EXIT_OK if decisive == HOLDS else EXIT_FAILS
 
 

@@ -10,6 +10,7 @@ that every tried linear form failed, never that anything was approximated.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +28,6 @@ from .polyring import (
 
 HOLDS = "HOLDS"
 FAILS_PROBABLY = "FAILS_PROBABLY"
-INCONCLUSIVE = "INCONCLUSIVE"
 
 _ZERO = Fraction(0)
 
@@ -41,8 +41,8 @@ class CapExceededError(ValueError):
 
 
 class NotGorensteinShapeError(ValueError):
-    """The middle-degree shortcut needs a symmetric Hilbert function with a
-    one-dimensional top."""
+    """The Hilbert vector is not symmetric with a one-dimensional top, so the
+    quotient cannot be Gorenstein and the middle-degree criterion is void."""
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,21 @@ def _random_form(rng: random.Random, nvars: int, bound: int) -> LinearForm:
     return LinearForm(coeffs)
 
 
+@functools.lru_cache(maxsize=64)
+def _form_power(coefficients: tuple, power: int) -> HomogeneousPoly:
+    """The ``power``-th power of the linear form with these coefficients.
+
+    Shared by every quotient in the process, so a sweep builds the powers of
+    the fixed candidate once instead of once per tuple.  Sixty-four entries
+    hold a whole chain (at most 25 powers for a <= 7) plus the random forms
+    of a search.  Callers only read the result.
+    """
+    linear = LinearForm(coefficients).to_poly()
+    if power == 1:
+        return linear
+    return _form_power(coefficients, power - 1) * linear
+
+
 class GradedQuotient:
     """Quotient of a polynomial ring by a homogeneous ideal, studied degree
     by degree up to a cap.
@@ -175,18 +190,28 @@ class GradedQuotient:
     complete-intersection-like inputs; pass ``degree_cap`` explicitly for
     anything exotic.  Slices are cached, so repeated Hilbert or rank queries
     echelonize each degree once.
+
+    ``gorenstein=True`` states that the quotient is known to be Artinian
+    Gorenstein; :meth:`certify` then decides WLP by the single middle-degree
+    rank of :meth:`check_wlp_gorenstein_middle`.  It is a fact about the
+    input, not checked beyond the shape of the Hilbert vector.
     """
 
-    def __init__(self, ideal: IdealPresentation, degree_cap: int | None = None):
+    def __init__(
+        self,
+        ideal: IdealPresentation,
+        degree_cap: int | None = None,
+        gorenstein: bool = False,
+    ):
         if degree_cap is None:
             degree_cap = sum(g.degree for g in ideal.generators)
         if degree_cap < 1:
             raise ValueError("degree cap must be positive")
         self.ideal = ideal
         self.degree_cap = degree_cap
+        self.gorenstein = gorenstein
         self._slices = {}
         self._hilbert = None
-        self._powers = {}
 
     def slice(self, degree: int):
         if degree > self.degree_cap:
@@ -227,17 +252,6 @@ class GradedQuotient:
                 )
         return self._hilbert
 
-    def _power_poly(self, form: LinearForm, power: int) -> HomogeneousPoly:
-        key = (form.coefficients, power)
-        poly = self._powers.get(key)
-        if poly is None:
-            if power == 1:
-                poly = form.to_poly()
-            else:
-                poly = self._power_poly(form, power - 1) * form.to_poly()
-            self._powers[key] = poly
-        return poly
-
     def multiplication_matrix(
         self, form: LinearForm, degree: int, power: int = 1
     ) -> RatMatrix:
@@ -257,7 +271,7 @@ class GradedQuotient:
             )
         src = self.slice(degree)
         dst = self.slice(degree + power)
-        poly = self._power_poly(form, power)
+        poly = _form_power(form.coefficients, power)
         index = _basis_index(self.ideal.nvars, degree + power)
         row_of = {col: i for i, col in enumerate(dst.standard_columns)}
         entries = {}
@@ -271,97 +285,119 @@ class GradedQuotient:
             len(dst.standard_monomials), len(src.standard_monomials), entries
         )
 
+    def _rank(self, form: LinearForm, degree: int, power: int) -> tuple:
+        """(rank, maximal) of multiplication by ``form**power`` out of
+        ``degree``."""
+        h = self.hilbert_data().h
+        expected = min(h[degree], h[degree + power])
+        if expected == 0:
+            return 0, True
+        r = exactla.rank(self.multiplication_matrix(form, degree, power))
+        return r, r == expected
+
     def certify(self, form: LinearForm) -> tuple:
-        """Scan every consecutive degree pair for maximal rank under the
-        form; returns (all maximal, per-degree records)."""
-        data = self.hilbert_data()
+        """WLP test of one form; returns (holds, per-degree records).
+
+        A quotient built with ``gorenstein=True`` is decided by the one
+        middle-degree record of :meth:`check_wlp_gorenstein_middle`; any
+        other scans every consecutive degree pair for maximal rank.
+        """
+        if self.gorenstein:
+            rec = self._middle_rank(form)
+            return (True, ()) if rec is None else (rec.maximal, (rec,))
+        h = self.hilbert_data().h
         per = []
-        ok = True
-        for d in range(data.socle_degree):
-            dim_from = data.h[d]
-            dim_to = data.h[d + 1]
-            expected = min(dim_from, dim_to)
-            if expected == 0:
-                r = 0
-            else:
-                r = exactla.rank(self.multiplication_matrix(form, d, 1))
-            maximal = r == expected
-            ok = ok and maximal
-            per.append(DegreeRank(d, dim_from, dim_to, r, maximal))
-        return ok, tuple(per)
+        for d in range(len(h) - 1):
+            r, maximal = self._rank(form, d, 1)
+            per.append(DegreeRank(d, h[d], h[d + 1], r, maximal))
+        return all(rec.maximal for rec in per), tuple(per)
+
+    def _power_pairs(self) -> tuple:
+        """(criterion, (power, degree) pairs) that decide SLP for a form.
+
+        A palindromic Hilbert vector (h_i = h_{D-i}) needs only the square
+        maps ×ℓ^{D-2i}: A_i -> A_{D-i} for i < (D+1)/2.  Form by form, they
+        are all bijective exactly when every ×ℓ^k: A_i -> A_{i+k} has
+        maximal rank:
+
+        - narrow => full.  If i+k <= D-i, then ℓ^{D-2i} = ℓ^{D-2i-k}·ℓ^k is
+          injective on A_i, so ×ℓ^k is too.  Otherwise let j = i+k, so
+          D-j < i < j; then ℓ^{2j-D} = ℓ^k·ℓ^{i-(D-j)} maps A_{D-j} onto
+          A_j, so ×ℓ^k: A_i -> A_j is surjective.
+        - full => narrow.  The square maps are among the full scan's pairs,
+          and a map of maximal rank between pieces of equal dimension is
+          bijective.
+
+        So the fixed-then-random search visits the same forms and returns
+        the same verdict and certificate.  Any other Hilbert vector keeps
+        the full scan over every power and compatible degree.
+        """
+        data = self.hilbert_data()
+        top = data.socle_degree
+        if data.h == data.h[::-1]:
+            pairs = [(top - 2 * d, d) for d in range((top + 1) // 2)]
+            return "narrow", pairs
+        pairs = [(p, d) for p in range(1, top + 1) for d in range(top - p + 1)]
+        return "full", pairs
 
     def certify_powers(self, form: LinearForm) -> tuple:
-        """Maximal-rank scan for every power and compatible degree."""
-        data = self.hilbert_data()
+        """SLP test of one form over the pairs of :meth:`_power_pairs`;
+        returns (holds, per-pair records)."""
+        h = self.hilbert_data().h
         per = []
-        ok = True
-        for power in range(1, data.socle_degree + 1):
-            for d in range(data.socle_degree - power + 1):
-                dim_from = data.h[d]
-                dim_to = data.h[d + power]
-                expected = min(dim_from, dim_to)
-                if expected == 0:
-                    r = 0
-                else:
-                    r = exactla.rank(
-                        self.multiplication_matrix(form, d, power)
-                    )
-                maximal = r == expected
-                ok = ok and maximal
-                per.append(PowerRank(d, power, dim_from, dim_to, r, maximal))
-        return ok, tuple(per)
+        for power, d in self._power_pairs()[1]:
+            r, maximal = self._rank(form, d, power)
+            per.append(PowerRank(d, power, h[d], h[d + power], r, maximal))
+        return all(rec.maximal for rec in per), tuple(per)
 
-    def _search(self, scan, strategy: SearchStrategy | None) -> tuple:
+    def _search(self, scan, criterion: str, strategy: SearchStrategy | None) -> tuple:
         strategy = strategy or SearchStrategy()
         meta = {
             "trials": strategy.trials,
             "bound": strategy.bound,
             "seed": strategy.seed,
+            "criterion": criterion,
         }
         fixed = fixed_candidate(self.ideal.nvars)
-        try:
-            ok, per = scan(fixed)
+        ok, per = scan(fixed)
+        if ok:
+            meta.update(certificate="fixed", random_trials_used=0)
+            return HOLDS, fixed, per, meta
+        rng = random.Random(strategy.seed)
+        for t in range(strategy.trials):
+            form = _random_form(rng, self.ideal.nvars, strategy.bound)
+            ok, per = scan(form)
             if ok:
-                meta.update(certificate="fixed", random_trials_used=0)
-                return HOLDS, fixed, per, meta
-            rng = random.Random(strategy.seed)
-            last_per = per
-            for t in range(strategy.trials):
-                form = _random_form(rng, self.ideal.nvars, strategy.bound)
-                ok, per = scan(form)
-                if ok:
-                    meta.update(certificate="random", random_trials_used=t + 1)
-                    return HOLDS, form, per, meta
-                last_per = per
-        except CapExceededError:
-            meta.update(certificate=None, random_trials_used=0)
-            return INCONCLUSIVE, None, (), meta
+                meta.update(certificate="random", random_trials_used=t + 1)
+                return HOLDS, form, per, meta
         meta.update(certificate=None, random_trials_used=strategy.trials)
-        return FAILS_PROBABLY, None, last_per, meta
+        return FAILS_PROBABLY, None, per, meta
 
     def check_wlp(self, strategy: SearchStrategy | None = None) -> WlpReport:
         """Hunt for a single linear form with maximal rank between every
         consecutive pair of degrees.
 
-        ``HOLDS`` carries the certificate and its full per-degree scan;
-        ``FAILS_PROBABLY`` reports the last random trial's scan after the
-        fixed candidate and all random draws failed.
+        ``HOLDS`` carries the certificate and its per-degree records;
+        ``FAILS_PROBABLY`` reports the last random trial's records after the
+        fixed candidate and all random draws failed.  ``strategy`` names the
+        criterion: ``"middle"`` for Gorenstein quotients, else ``"full"``.
         """
-        verdict, cert, per, meta = self._search(self.certify, strategy)
+        criterion = "middle" if self.gorenstein else "full"
+        verdict, cert, per, meta = self._search(self.certify, criterion, strategy)
         return WlpReport(verdict, cert, per, meta)
 
     def check_slp(self, strategy: SearchStrategy | None = None) -> SlpReport:
-        """Like :meth:`check_wlp` but over all powers of the form."""
-        verdict, cert, per, meta = self._search(self.certify_powers, strategy)
+        """Like :meth:`check_wlp` but over powers of the form; the
+        criterion is ``"narrow"`` or ``"full"`` as in :meth:`_power_pairs`."""
+        criterion = self._power_pairs()[0]
+        verdict, cert, per, meta = self._search(
+            self.certify_powers, criterion, strategy
+        )
         return SlpReport(verdict, cert, per, meta)
 
-    def check_wlp_gorenstein_middle(self, form: LinearForm) -> bool:
-        """Middle-degree surjectivity test for symmetric quotients.
-
-        For a quotient whose Hilbert vector is palindromic with top value 1,
-        multiplication by the form out of the middle degree is surjective
-        exactly when the form certifies every degree, so one rank decides.
-        """
+    def _middle_rank(self, form: LinearForm) -> DegreeRank | None:
+        """Record of ×form: A_{floor(D/2)} -> A_{floor(D/2)+1}, whose
+        ``maximal`` flag means surjective; None when D = 0."""
         data = self.hilbert_data()
         if not is_gorenstein_symmetric(data):
             raise NotGorensteinShapeError(
@@ -370,9 +406,26 @@ class GradedQuotient:
         middle = data.socle_degree // 2
         target = middle + 1
         if target > data.socle_degree:
-            return True
+            return None
         r = exactla.rank(self.multiplication_matrix(form, middle, 1))
-        return data.h[target] - r == 0
+        h = data.h
+        return DegreeRank(middle, h[middle], h[target], r, r == h[target])
+
+    def check_wlp_gorenstein_middle(self, form: LinearForm) -> bool:
+        """Middle-degree surjectivity test for Gorenstein quotients.
+
+        For an Artinian Gorenstein quotient of socle degree D, a form has WLP
+        exactly when ×form: A_{floor(D/2)} -> A_{floor(D/2)+1} is surjective
+        (Migliore-Miró-Roig-Nagel, Trans. AMS 363 (2011), §2), so one rank
+        decides.  Being Gorenstein is the caller's premise, and a symmetric
+        Hilbert vector does not imply it: ``x^2, x*y, x*z, y^3, y^2*z^2,
+        z^4`` has h = (1, 3, 3, 3, 1) and passes this test with ``x - y - z``,
+        yet x is a degree-one socle element that every form kills, so WLP
+        fails.  :class:`NotGorensteinShapeError` checks only a necessary
+        shape: a palindromic Hilbert vector with top value 1.
+        """
+        rec = self._middle_rank(form)
+        return rec is None or rec.maximal
 
     def colon_slice_dim(self, divisor: HomogeneousPoly, degree: int) -> int:
         return _colon_slice_dim(self.ideal, divisor, degree, self.slice)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz import family
 from lefschetz.exactla import rank
@@ -185,6 +187,107 @@ def test_middle_criterion_agrees_with_full_scan():
         q = quotient_of(text)
         ok, _ = q.certify(fixed_candidate(3))
         assert q.check_wlp_gorenstein_middle(fixed_candidate(3)) == ok
+
+
+FAMILY_A4 = [p.as_tuple() for p in family.enumerate_params(4)]
+SOCLE_KILLED_IDEAL = "x^2, x*y, x*z, y^3, y^2*z^2, z^4"  # symmetric, not Gorenstein
+
+
+def full_power_scan(q, form):
+    """Reference SLP test: maximal rank for every (power, degree) pair."""
+    h = q.hilbert_data().h
+    top = len(h) - 1
+    return all(
+        rank(q.multiplication_matrix(form, d, k)) == min(h[d], h[d + k])
+        for k in range(1, top + 1)
+        for d in range(top - k + 1)
+    )
+
+
+@pytest.fixture(scope="module")
+def family_a4():
+    """Per tuple with a <= 4: an unflagged and a Gorenstein-flagged quotient."""
+    out = {}
+    for key in FAMILY_A4:
+        params = family.validate(*key)
+        cap = params.a + params.b + params.c
+        out[key] = (
+            GradedQuotient(family.build_ideal(params), degree_cap=cap),
+            GradedQuotient(
+                family.build_ideal(params), degree_cap=cap, gorenstein=True
+            ),
+        )
+    return out
+
+
+def assert_criteria_agree(plain, flagged, form):
+    """Narrow SLP and middle WLP verdicts against the full scans; returns
+    the (WLP, SLP) verdicts."""
+    slp = full_power_scan(plain, form)
+    assert plain.certify_powers(form)[0] == slp
+    wlp, per = plain.certify(form)
+    assert len(per) == plain.hilbert_data().socle_degree
+    middle, middle_per = flagged.certify(form)
+    assert middle == wlp
+    assert len(middle_per) == 1
+    return wlp, slp
+
+
+def test_narrow_criteria_match_full_scans_on_family(family_a4):
+    x, y, z = LinearForm((1, 0, 0)), LinearForm((0, 1, 0)), LinearForm((0, 0, 1))
+    forms = [fixed_candidate(3), x, y, z, LinearForm((1, 1, 0))]
+    seen = set()
+    for plain, flagged in family_a4.values():
+        for form in forms:
+            seen.add(assert_criteria_agree(plain, flagged, form))
+    # holding and failing forms both occur for WLP and for SLP
+    assert {wlp for wlp, _ in seen} == {True, False}
+    assert {slp for _, slp in seen} == {True, False}
+
+
+@given(
+    st.sampled_from(FAMILY_A4),
+    st.tuples(*[st.integers(-9, 9)] * 3).filter(any),
+)
+@settings(max_examples=25, deadline=None)
+def test_narrow_criteria_match_full_scans_on_random_forms(family_a4, key, coeffs):
+    plain, flagged = family_a4[key]
+    assert_criteria_agree(plain, flagged, LinearForm(coeffs))
+
+
+def test_family_searches_name_their_criterion(family_a4):
+    plain, flagged = family_a4[(3, 2, 2, 1, 1)]
+    middle, full = flagged.check_wlp(), plain.check_wlp()
+    assert (middle.strategy["criterion"], full.strategy["criterion"]) == (
+        "middle",
+        "full",
+    )
+    assert middle.verdict == full.verdict == HOLDS
+    assert middle.certificate_form == full.certificate_form
+    # x - y - z fails SLP here, so the narrow search certifies a random form
+    slp = flagged.check_slp()
+    assert slp.strategy["criterion"] == "narrow"
+    assert slp.verdict == HOLDS and slp.strategy["certificate"] == "random"
+    assert not full_power_scan(plain, fixed_candidate(3))
+    assert full_power_scan(plain, slp.certificate_form)
+    assert quotient_of(BK_IDEAL).check_slp().strategy["criterion"] == "full"
+
+
+def test_symmetric_non_gorenstein_keeps_the_full_wlp_scan():
+    q = quotient_of(SOCLE_KILLED_IDEAL)
+    assert q.hilbert_data().h == (1, 3, 3, 3, 1)
+    fixed = fixed_candidate(3)
+    # the middle test passes, but x is a socle element every form kills
+    assert q.check_wlp_gorenstein_middle(fixed) is True
+    report = q.check_wlp()
+    assert report.verdict == FAILS_PROBABLY
+    assert report.strategy["criterion"] == "full"
+    slp = q.check_slp(SearchStrategy(trials=2))
+    assert slp.verdict == FAILS_PROBABLY
+    assert slp.strategy["criterion"] == "narrow"
+    for form in (fixed, LinearForm((2, 3, -5))):
+        assert q.certify_powers(form)[0] is False
+        assert full_power_scan(q, form) is False
 
 
 def test_colon_with_unit_recovers_slice():
