@@ -177,6 +177,7 @@ def _write_records(records, fmt: str, with_slp: bool, stream):
 
 
 def _cache_key(params: tuple, cfg: SweepConfig) -> tuple:
+    """Parameters plus strategy; also the argument tuple of a sweep job."""
     return params + (cfg.trials, cfg.bound, cfg.seed, cfg.slp)
 
 
@@ -208,8 +209,8 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
                 key = tuple(entry["key"])
             except (ValueError, KeyError, TypeError):
                 continue
-            if key[5:] == (cfg.trials, cfg.bound, cfg.seed, cfg.slp):
-                cached[tuple(key[:5])] = entry["record"]
+            if key == _cache_key(key[:5], cfg):
+                cached[key[:5]] = entry["record"]
     return cached
 
 
@@ -230,12 +231,11 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
     else:
         selected = list(family.enumerate_params(cfg.a_max, cfg.a_min))
     cached = _load_cache(cache_path, cfg)
-    jobs = []
-    for p in selected:
-        if p.as_tuple() not in cached:
-            jobs.append(
-                p.as_tuple() + (cfg.trials, cfg.bound, cfg.seed, cfg.slp)
-            )
+    jobs = [
+        _cache_key(p.as_tuple(), cfg)
+        for p in selected
+        if p.as_tuple() not in cached
+    ]
     cache_fh = None
     if cache_path is not None and jobs:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -245,18 +245,11 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
             if cfg.jobs > 1:
                 with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                     results = pool.map(_compute_record, jobs, chunksize=4)
-                    computed = list(_drain(results, jobs, cfg, cache_fh))
+                    computed = list(_drain(results, jobs, cache_fh))
             else:
-                computed = list(_drain(map(_compute_record, jobs), jobs, cfg, cache_fh))
-            for record in computed:
-                key = (
-                    record["a"],
-                    record["b"],
-                    record["c"],
-                    record["beta"],
-                    record["gamma"],
-                )
-                cached[key] = record
+                computed = list(_drain(map(_compute_record, jobs), jobs, cache_fh))
+            for job, record in zip(jobs, computed):
+                cached[job[:5]] = record
     finally:
         if cache_fh is not None:
             cache_fh.close()
@@ -267,12 +260,11 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
     return records, violations
 
 
-def _drain(results, jobs, cfg: SweepConfig, cache_fh):
+def _drain(results, jobs, cache_fh):
     for job, record in zip(jobs, results):
         if cache_fh is not None:
-            key = list(job[:5]) + [cfg.trials, cfg.bound, cfg.seed, cfg.slp]
             cache_fh.write(
-                json.dumps({"key": key, "record": record}, sort_keys=True)
+                json.dumps({"key": job, "record": record}, sort_keys=True)
                 + "\n"
             )
             cache_fh.flush()

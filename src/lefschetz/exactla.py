@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Matrices are sparse maps from (row, column) to nonzero ``Fraction`` entries.
-Echelonization clears denominators row by row and hands integer rows to the
-kernel backend, so no rounding can occur anywhere in a verdict path.  The
-reduced echelon form is canonical for the row space, which makes ranks,
-pivot columns, and standard-monomial choices reproducible across runs and
-backends.
+Echelonization clears denominators row by row and hands integer rows to
+:mod:`lefschetz.kernels`, so no rounding can occur anywhere in a verdict
+path.  The reduced echelon form is canonical for the row space, which makes
+ranks, pivot columns, and standard-monomial choices reproducible across
+runs.
 """
 
 from __future__ import annotations

@@ -54,15 +54,18 @@ class GorensteinParams:
         return (self.a, self.b, self.c, self.beta, self.gamma)
 
 
-def validate(a: int, b: int, c: int, beta: int, gamma: int) -> GorensteinParams:
-    """Check the parameter constraints and return a frozen parameter record."""
-    for name, value in (("a", a), ("b", b), ("c", c), ("beta", beta), ("gamma", gamma)):
+def _require_positive(**values) -> None:
+    for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _require_ac_order(a: int, c: int) -> None:
     if not a >= c >= 2:
         raise ACOrderError(f"require a >= c >= 2, got a={a}, c={c}")
-    if not 1 <= beta <= b - 1:
-        raise BetaRangeError(f"require 1 <= beta <= b-1 = {b - 1}, got beta={beta}")
+
+
+def _require_gamma_range(a: int, b: int, c: int, gamma: int) -> None:
     lo = max(1, b - a + 1)
     hi = min(b - 1, c - 1)
     if not lo <= gamma <= hi:
@@ -70,23 +73,26 @@ def validate(a: int, b: int, c: int, beta: int, gamma: int) -> GorensteinParams:
             f"require {lo} <= gamma <= {hi} for (a, b, c) = ({a}, {b}, {c}), "
             f"got gamma={gamma}"
         )
+
+
+def validate(a: int, b: int, c: int, beta: int, gamma: int) -> GorensteinParams:
+    """Check the parameter constraints and return a frozen parameter record."""
+    _require_positive(a=a, b=b, c=c, beta=beta, gamma=gamma)
+    _require_ac_order(a, c)
+    if not 1 <= beta <= b - 1:
+        raise BetaRangeError(f"require 1 <= beta <= b-1 = {b - 1}, got beta={beta}")
+    _require_gamma_range(a, b, c, gamma)
     return GorensteinParams(a, b, c, beta, gamma)
 
 
 def build_ci(a: int, b: int, c: int, gamma: int) -> IdealPresentation:
-    """The complete intersection (x^a, y^b - x^(b-gamma) z^gamma, z^c)."""
-    for name, value in (("a", a), ("b", b), ("c", c), ("gamma", gamma)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-    if not a >= c >= 2:
-        raise ACOrderError(f"require a >= c >= 2, got a={a}, c={c}")
-    lo = max(1, b - a + 1)
-    hi = min(b - 1, c - 1)
-    if not lo <= gamma <= hi:
-        raise GammaRangeError(
-            f"require {lo} <= gamma <= {hi} for (a, b, c) = ({a}, {b}, {c}), "
-            f"got gamma={gamma}"
-        )
+    """The complete intersection (x^a, y^b - x^(b-gamma) z^gamma, z^c).
+
+    The parameters pass the same checks as in :func:`validate`, less beta.
+    """
+    _require_positive(a=a, b=b, c=c, gamma=gamma)
+    _require_ac_order(a, c)
+    _require_gamma_range(a, b, c, gamma)
     return IdealPresentation(
         3,
         (

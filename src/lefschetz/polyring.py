@@ -40,10 +40,6 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def mono_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -264,9 +260,6 @@ class IdealPresentation:
                 raise ValueError("generators must have positive degree")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "generators", gens)
-
-    def min_degree(self) -> int:
-        return min((g.degree for g in self.generators), default=0)
 
     def as_text(self, names: tuple = None) -> str:
         return ", ".join(g.as_text(names) for g in self.generators)

@@ -14,7 +14,6 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
 
 from . import exactla
 from .exactla import RatMatrix
@@ -24,12 +23,11 @@ from .polyring import (
     _basis_index,
     ideal_degree_slice,
     mono_mul,
+    monomial_basis,
 )
 
 HOLDS = "HOLDS"
 FAILS_PROBABLY = "FAILS_PROBABLY"
-
-_ZERO = Fraction(0)
 
 
 class NotArtinianWithinCapError(ValueError):
@@ -269,20 +267,10 @@ class GradedQuotient:
             raise CapExceededError(
                 f"degree {degree + power} exceeds the cap {self.degree_cap}"
             )
-        src = self.slice(degree)
-        dst = self.slice(degree + power)
-        poly = _form_power(form.coefficients, power)
-        index = _basis_index(self.ideal.nvars, degree + power)
-        row_of = {col: i for i, col in enumerate(dst.standard_columns)}
-        entries = {}
-        terms = list(poly.terms.items())
-        for j, mono in enumerate(src.standard_monomials):
-            vec = {index[mono_mul(t, mono)]: c for t, c in terms}
-            rem = exactla.reduce_mod_echelon(dst.echelon, vec)
-            for col, value in rem.items():
-                entries[(row_of[col], j)] = value
-        return RatMatrix(
-            len(dst.standard_monomials), len(src.standard_monomials), entries
+        return _multiply_into(
+            self.slice(degree).standard_monomials,
+            _form_power(form.coefficients, power),
+            self.slice(degree + power),
         )
 
     def _rank(self, form: LinearForm, degree: int, power: int) -> tuple:
@@ -439,6 +427,21 @@ class GradedQuotient:
         return exactla.reduce_mod_echelon(sl.echelon, vec)
 
 
+def _multiply_into(sources, poly: HomogeneousPoly, target) -> RatMatrix:
+    """Multiply-then-reduce: column j is the residue of ``poly * sources[j]``
+    modulo the slice ``target``, on the rows of its standard columns."""
+    index = _basis_index(poly.nvars, target.degree)
+    row_of = {col: i for i, col in enumerate(target.standard_columns)}
+    entries = {}
+    terms = list(poly.terms.items())
+    for j, mono in enumerate(sources):
+        vec = {index[mono_mul(t, mono)]: c for t, c in terms}
+        rem = exactla.reduce_mod_echelon(target.echelon, vec)
+        for col, value in rem.items():
+            entries[(row_of[col], j)] = value
+    return RatMatrix(len(target.standard_monomials), len(sources), entries)
+
+
 def _colon_slice_dim(ideal, divisor, degree, slice_provider) -> int:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -446,21 +449,9 @@ def _colon_slice_dim(ideal, divisor, degree, slice_provider) -> int:
         raise ValueError("divisor must be nonzero")
     if divisor.nvars != ideal.nvars:
         raise ValueError("divisor variable count mismatch")
-    from .polyring import monomial_basis
-
     target = slice_provider(degree + divisor.degree)
-    index = _basis_index(ideal.nvars, target.degree)
-    row_of = {col: i for i, col in enumerate(target.standard_columns)}
     source = monomial_basis(ideal.nvars, degree)
-    entries = {}
-    terms = list(divisor.terms.items())
-    for j, mono in enumerate(source):
-        vec = {index[mono_mul(t, mono)]: c for t, c in terms}
-        rem = exactla.reduce_mod_echelon(target.echelon, vec)
-        for col, value in rem.items():
-            entries[(row_of[col], j)] = value
-    matrix = RatMatrix(len(target.standard_monomials), len(source), entries)
-    return len(source) - exactla.rank(matrix)
+    return len(source) - exactla.rank(_multiply_into(source, divisor, target))
 
 
 def colon_slice_dim(

@@ -54,6 +54,38 @@ def test_gamma_error_message_names_the_range():
         validate(4, 3, 3, 1, 3)
 
 
+@pytest.mark.parametrize(
+    "fn,args,exc,message",
+    [
+        # each input breaks more than one rule; the first check in the
+        # order positive, a >= c >= 2, beta range, gamma range reports
+        (validate, (3, 3, 3, 0, 9), ParameterError,
+         "beta must be a positive integer, got 0"),
+        (validate, (0, 3, 1, 0, 0), ParameterError,
+         "a must be a positive integer, got 0"),
+        (validate, (2, 3, 3, 1, 1), ACOrderError,
+         "require a >= c >= 2, got a=2, c=3"),
+        (validate, (2, 3, 3, 5, 9), ACOrderError,
+         "require a >= c >= 2, got a=2, c=3"),
+        (validate, (4, 8, 4, 9, 2), BetaRangeError,
+         "require 1 <= beta <= b-1 = 7, got beta=9"),
+        (build_ci, (1, 3, 3, True), ParameterError,
+         "gamma must be a positive integer, got True"),
+        (build_ci, (0, 3, 3, 0), ParameterError,
+         "a must be a positive integer, got 0"),
+        (build_ci, (2, 3, 3, 9), ACOrderError,
+         "require a >= c >= 2, got a=2, c=3"),
+        (build_ci, (4, 8, 4, 2), GammaRangeError,
+         "require 5 <= gamma <= 3 for (a, b, c) = (4, 8, 4), got gamma=2"),
+    ],
+)
+def test_first_failed_check_names_the_error(fn, args, exc, message):
+    with pytest.raises(ParameterError) as err:
+        fn(*args)
+    assert type(err.value) is exc
+    assert str(err.value) == message
+
+
 def test_build_ci_frozen():
     assert build_ci(2, 2, 2, 1) == parse_ideal("x^2, y^2 - x*z, z^2")
     assert build_ci(5, 5, 5, 4) == parse_ideal("x^5, y^5 - x*z^4, z^5")

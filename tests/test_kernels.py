@@ -1,13 +1,10 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz import _pykern, kernels
+from lefschetz import kernels
 from value_oracles import laplace_det, naive_rank
-
-BACKENDS = list(kernels.available_backends().values())
 
 
 def _as_dicts(rows):
@@ -75,32 +72,9 @@ def test_sparse_and_dense_paths_agree():
             for _ in range(nrows)
         ]
         dicts = _as_dicts(rows)
-        sparse = _pykern._rref_sparse([dict(r) for r in dicts])
-        dense = _pykern._rref_dense([list(r) for r in rows], ncols)
+        sparse = kernels._rref_sparse([dict(r) for r in dicts])
+        dense = kernels._rref_dense([list(r) for r in rows], ncols)
         assert sparse == dense
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled kernel not built")
-def test_backends_agree_on_random_input():
-    rng = random.Random(11)
-    mods = BACKENDS
-    for _ in range(60):
-        nrows = rng.randint(1, 7)
-        ncols = rng.randint(1, 7)
-        rows = [
-            {
-                j: rng.randint(-9, 9)
-                for j in range(ncols)
-                if rng.random() < 0.5
-            }
-            for _ in range(nrows)
-        ]
-        rows = [{j: v for j, v in r.items() if v} for r in rows]
-        results = [m.rref_int([dict(r) for r in rows], ncols) for m in mods]
-        assert results[0] == results[1]
-        square = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
-        dets = [m.det_bareiss([r[:] for r in square]) for m in mods]
-        assert dets[0] == dets[1]
 
 
 @given(small_matrix)
