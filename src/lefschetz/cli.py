@@ -99,13 +99,16 @@ def _verdict_record(
     The family quotient R/I is Artinian Gorenstein: I = (J : y^beta) for the
     complete intersection J of its first three generators, and the quotient
     of the Gorenstein algebra R/J by the annihilator of an element is again
-    Gorenstein.  So WLP is decided by the middle-degree criterion.
+    Gorenstein.  R/J has socle degree a+b+c-3, and the socle degree of
+    R/(J : f) is (a+b+c-3) - deg f, which is ``params.socle_degree``.  So
+    the Hilbert vector is mirrored from its lower half and WLP is decided
+    by the middle-degree criterion.
     """
     start = perf_counter()
     q = GradedQuotient(
         family.build_ideal(params),
         degree_cap=params.a + params.b + params.c,
-        gorenstein=True,
+        socle_degree=params.socle_degree,
     )
     data = q.hilbert_data()
     coverage = family.classify(params)
@@ -196,9 +199,15 @@ def _resolve_cache_path(explicit, cfg: SweepConfig):
 
 
 def _load_cache(path, cfg: SweepConfig) -> dict:
+    """Records of this strategy from the cache file, by parameter tuple.
+
+    Lines that are not a JSON object with a ``key`` list and a ``record``
+    are skipped and counted; a nonzero count is reported on stderr.
+    """
     cached = {}
     if path is None or not path.exists():
         return cached
+    malformed = 0
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -207,10 +216,17 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
             try:
                 entry = json.loads(line)
                 key = tuple(entry["key"])
+                record = entry["record"]
             except (ValueError, KeyError, TypeError):
+                malformed += 1
                 continue
             if key == _cache_key(key[:5], cfg):
-                cached[key[:5]] = entry["record"]
+                cached[key[:5]] = record
+    if malformed:
+        print(
+            f"warning: skipped {malformed} malformed line(s) in cache {path}",
+            file=sys.stderr,
+        )
     return cached
 
 
@@ -506,10 +522,16 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    if args.cap is not None and args.cap < 1:
+        raise _UsageError("degree cap must be positive")
+    if args.dmax is not None and args.dmax < 0:
+        raise _UsageError("--dmax must be nonnegative")
     if args.ideal:
         ideal = parse_ideal(args.ideal)
-        cap = args.cap or sum(g.degree for g in ideal.generators)
-    elif args.a and args.b and args.c and args.gamma:
+        cap = args.cap
+        if cap is None:
+            cap = sum(g.degree for g in ideal.generators)
+    elif None not in (args.a, args.b, args.c, args.gamma):
         if args.beta is not None:
             params = family.validate(args.a, args.b, args.c, args.beta, args.gamma)
             ideal = family.build_ideal(params)

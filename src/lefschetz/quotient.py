@@ -39,8 +39,10 @@ class CapExceededError(ValueError):
 
 
 class NotGorensteinShapeError(ValueError):
-    """The Hilbert vector is not symmetric with a one-dimensional top, so the
-    quotient cannot be Gorenstein and the middle-degree criterion is void."""
+    """The Hilbert vector is not symmetric with a one-dimensional top, or a
+    built slice contradicts the vector mirrored from a stated socle degree,
+    so the quotient cannot be Gorenstein of that shape and the
+    middle-degree criterion is void."""
 
 
 @dataclass(frozen=True)
@@ -189,25 +191,30 @@ class GradedQuotient:
     anything exotic.  Slices are cached, so repeated Hilbert or rank queries
     echelonize each degree once.
 
-    ``gorenstein=True`` states that the quotient is known to be Artinian
-    Gorenstein; :meth:`certify` then decides WLP by the single middle-degree
-    rank of :meth:`check_wlp_gorenstein_middle`.  It is a fact about the
-    input, not checked beyond the shape of the Hilbert vector.
+    ``socle_degree=D`` states that the quotient is known to be Artinian
+    Gorenstein with socle degree D.  :meth:`hilbert_data` then builds only
+    the lower half of the Hilbert vector and mirrors the rest, and
+    :meth:`certify` decides WLP by the single middle-degree rank of
+    :meth:`check_wlp_gorenstein_middle`.  It is a fact about the input,
+    checked only by the necessary conditions that :meth:`hilbert_data` and
+    the rank helpers test.
     """
 
     def __init__(
         self,
         ideal: IdealPresentation,
         degree_cap: int | None = None,
-        gorenstein: bool = False,
+        socle_degree: int | None = None,
     ):
         if degree_cap is None:
             degree_cap = sum(g.degree for g in ideal.generators)
         if degree_cap < 1:
             raise ValueError("degree cap must be positive")
+        if socle_degree is not None and not 0 <= socle_degree <= degree_cap:
+            raise ValueError("socle degree must lie between 0 and the cap")
         self.ideal = ideal
         self.degree_cap = degree_cap
-        self.gorenstein = gorenstein
+        self.socle_degree = socle_degree
         self._slices = {}
         self._hilbert = None
 
@@ -231,24 +238,48 @@ class GradedQuotient:
     def hilbert_data(self) -> HilbertData:
         """Hilbert values through the socle degree.
 
+        Without a stated socle degree, slices are built from degree 0 up.
         Raises :class:`NotArtinianWithinCapError` when no zero value appears
         by the cap; once a graded piece vanishes every later one does, so the
         first zero ends the scan.
+
+        With ``socle_degree=D`` the quotient A is Artinian Gorenstein, so
+        multiplication A_d x A_{D-d} -> A_D, a one-dimensional space, is a
+        perfect pairing and h(d) = h(D-d) (Stanley, Adv. Math. 28 (1978)).
+        Only slices 0..min(floor(D/2)+1, D) are built; h(d) for larger d is
+        h(D-d).  The one slice built past the middle must equal its mirror,
+        and no built value may be zero, else
+        :class:`NotGorensteinShapeError`.  That guard is necessary, not
+        sufficient: a wrong D can still pass it, e.g. when the vector is
+        flat around the middle.  The rank helpers then check each target
+        slice they build against the mirrored value.
         """
         if self._hilbert is None:
-            values = []
-            for d in range(self.degree_cap + 1):
-                h = self.hilbert(d)
-                if h == 0:
-                    self._hilbert = HilbertData(tuple(values), d - 1)
-                    break
-                values.append(h)
+            top = self.socle_degree
+            if top is None:
+                self._hilbert = self._scan_hilbert()
             else:
-                raise NotArtinianWithinCapError(
-                    f"Hilbert function still positive at the cap "
-                    f"{self.degree_cap}"
-                )
+                built = min(top // 2 + 1, top)
+                lower = [self.hilbert(d) for d in range(built + 1)]
+                if lower[built] == 0 or lower[built] != lower[top - built]:
+                    raise NotGorensteinShapeError(
+                        f"Hilbert values {tuple(lower)} do not fit "
+                        f"socle degree {top}"
+                    )
+                upper = [lower[top - d] for d in range(built + 1, top + 1)]
+                self._hilbert = HilbertData(tuple(lower + upper), top)
         return self._hilbert
+
+    def _scan_hilbert(self) -> HilbertData:
+        values = []
+        for d in range(self.degree_cap + 1):
+            h = self.hilbert(d)
+            if h == 0:
+                return HilbertData(tuple(values), d - 1)
+            values.append(h)
+        raise NotArtinianWithinCapError(
+            f"Hilbert function still positive at the cap {self.degree_cap}"
+        )
 
     def multiplication_matrix(
         self, form: LinearForm, degree: int, power: int = 1
@@ -273,24 +304,33 @@ class GradedQuotient:
             self.slice(degree + power),
         )
 
+    def _checked_rank(self, form: LinearForm, degree: int, power: int) -> int:
+        """Rank of multiplication by ``form**power`` out of ``degree``, after
+        checking that the target slice it builds has the h value of
+        :meth:`hilbert_data`, which may be a mirrored one."""
+        m = self.multiplication_matrix(form, degree, power)
+        expected = self.hilbert_data().h[degree + power]
+        if m.rows != expected:
+            raise NotGorensteinShapeError(
+                f"h({degree + power}) is {m.rows}, not {expected}"
+            )
+        return exactla.rank(m)
+
     def _rank(self, form: LinearForm, degree: int, power: int) -> tuple:
         """(rank, maximal) of multiplication by ``form**power`` out of
         ``degree``."""
         h = self.hilbert_data().h
-        expected = min(h[degree], h[degree + power])
-        if expected == 0:
-            return 0, True
-        r = exactla.rank(self.multiplication_matrix(form, degree, power))
-        return r, r == expected
+        r = self._checked_rank(form, degree, power)
+        return r, r == min(h[degree], h[degree + power])
 
     def certify(self, form: LinearForm) -> tuple:
         """WLP test of one form; returns (holds, per-degree records).
 
-        A quotient built with ``gorenstein=True`` is decided by the one
+        A quotient built with ``socle_degree`` is decided by the one
         middle-degree record of :meth:`check_wlp_gorenstein_middle`; any
         other scans every consecutive degree pair for maximal rank.
         """
-        if self.gorenstein:
+        if self.socle_degree is not None:
             rec = self._middle_rank(form)
             return (True, ()) if rec is None else (rec.maximal, (rec,))
         h = self.hilbert_data().h
@@ -368,9 +408,10 @@ class GradedQuotient:
         ``HOLDS`` carries the certificate and its per-degree records;
         ``FAILS_PROBABLY`` reports the last random trial's records after the
         fixed candidate and all random draws failed.  ``strategy`` names the
-        criterion: ``"middle"`` for Gorenstein quotients, else ``"full"``.
+        criterion: ``"middle"`` for a quotient built with ``socle_degree``,
+        else ``"full"``.
         """
-        criterion = "middle" if self.gorenstein else "full"
+        criterion = "middle" if self.socle_degree is not None else "full"
         verdict, cert, per, meta = self._search(self.certify, criterion, strategy)
         return WlpReport(verdict, cert, per, meta)
 
@@ -395,7 +436,7 @@ class GradedQuotient:
         target = middle + 1
         if target > data.socle_degree:
             return None
-        r = exactla.rank(self.multiplication_matrix(form, middle, 1))
+        r = self._checked_rank(form, middle, 1)
         h = data.h
         return DegreeRank(middle, h[middle], h[target], r, r == h[target])
 

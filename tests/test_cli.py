@@ -183,6 +183,18 @@ def test_sweep_cache_resume_recomputes_nothing(capsys, tmp_path, monkeypatch):
     assert out1 == out2  # byte-identical, timing column included
 
 
+def test_sweep_cache_reports_malformed_lines(capsys, tmp_path):
+    cache = tmp_path / "sweep.jsonl"
+    code, out1, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
+    assert (code, err) == (0, "")
+    with cache.open("a", encoding="utf-8") as fh:
+        fh.write('{"key": [2, 2, 2, 1\n')
+    code, out2, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
+    assert code == 0
+    assert out1 == out2
+    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
+
+
 def test_sweep_cache_ignores_other_strategies(capsys, tmp_path):
     cache = tmp_path / "sweep.jsonl"
     run(["sweep", "--a-max", "2", "--cache", str(cache), "--seed", "1"], capsys)
@@ -324,6 +336,35 @@ def test_hilbert_not_artinian_exit_three(capsys):
     code, _, err = run(["hilbert", "--ideal", "x^2", "--cap", "6"], capsys)
     assert code == 3
     assert "cap" in err
+
+
+def test_hilbert_cap_zero_exit_three(capsys):
+    code, out, err = run(
+        ["hilbert", "--ideal", "x^2, y^2, z^2", "--cap", "0"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert "degree cap must be positive" in err
+
+
+def test_hilbert_negative_dmax_exit_three(capsys):
+    code, out, err = run(
+        ["hilbert", "--ideal", "x^2, y^2, z^2", "--dmax", "-2"], capsys
+    )
+    assert (code, out) == (3, "")
+    assert "--dmax" in err
+
+
+def test_hilbert_names_the_bad_family_parameter(capsys):
+    code, _, err = run(
+        ["hilbert", "-a", "0", "-b", "3", "-c", "2", "--gamma", "1"], capsys
+    )
+    assert code == 3
+    assert err == "error: a must be a positive integer, got 0\n"
+    code, _, err = run(
+        ["hilbert", "-a", "3", "-b", "3", "-c", "2", "--gamma", "0"], capsys
+    )
+    assert code == 3
+    assert err == "error: gamma must be a positive integer, got 0\n"
 
 
 def test_hilbert_needs_some_input(capsys):

@@ -97,6 +97,9 @@ def test_cap_enforced():
         q.slice(4)
     with pytest.raises(CapExceededError):
         q.multiplication_matrix(fixed_candidate(3), 3, 1)
+    for socle in (-1, 4):
+        with pytest.raises(ValueError):
+            GradedQuotient(parse_ideal("x^2, y^2, z^2"), 3, socle_degree=socle)
 
 
 def test_multiplication_by_ideal_member_is_zero():
@@ -204,20 +207,69 @@ def full_power_scan(q, form):
     )
 
 
+def family_quotient(params, premise: bool) -> GradedQuotient:
+    """The family quotient, built with ``socle_degree=D`` when ``premise``."""
+    return GradedQuotient(
+        family.build_ideal(params),
+        degree_cap=params.a + params.b + params.c,
+        socle_degree=params.socle_degree if premise else None,
+    )
+
+
 @pytest.fixture(scope="module")
 def family_a4():
-    """Per tuple with a <= 4: an unflagged and a Gorenstein-flagged quotient."""
+    """Per tuple with a <= 4: an unflagged quotient and one built with its
+    socle degree."""
     out = {}
     for key in FAMILY_A4:
         params = family.validate(*key)
-        cap = params.a + params.b + params.c
         out[key] = (
-            GradedQuotient(family.build_ideal(params), degree_cap=cap),
-            GradedQuotient(
-                family.build_ideal(params), degree_cap=cap, gorenstein=True
-            ),
+            family_quotient(params, premise=False),
+            family_quotient(params, premise=True),
         )
     return out
+
+
+def test_mirrored_hilbert_matches_full_scan_on_family():
+    count = 0
+    for params in family.enumerate_params(6):
+        full = family_quotient(params, premise=False).hilbert_data()
+        mirrored = family_quotient(params, premise=True).hilbert_data()
+        assert mirrored == full, params.as_tuple()
+        count += 1
+    assert count == 525
+
+
+def test_premise_builds_only_the_lower_half():
+    for key in FAMILY_A4:
+        params = family.validate(*key)
+        q = family_quotient(params, premise=True)
+        q.check_wlp()
+        top = params.socle_degree
+        assert sorted(q._slices) == list(range(min(top // 2 + 1, top) + 1))
+
+
+def test_wrong_socle_degree_is_caught():
+    """A stated socle degree is checked only by necessary conditions.
+
+    On (3, 3, 3, 1, 1), h = 1 3 6 6 3 1, the slice built past the middle
+    differs from its mirror for D - 1 and D + 1.  On the flat vector
+    h = 1 3 3 3 1 of (4, 2, 2, 1, 1) both pass that guard, as they do on
+    11 of the 200 tuples with a <= 5; there the SLP square map into the
+    mirrored degree builds a slice of the wrong size, which the rank
+    helper rejects.
+    """
+    params = family.validate(3, 3, 3, 1, 1)
+    for socle in (4, 6):
+        q = GradedQuotient(family.build_ideal(params), 9, socle_degree=socle)
+        with pytest.raises(NotGorensteinShapeError):
+            q.hilbert_data()
+    params = family.validate(4, 2, 2, 1, 1)
+    for socle, h in ((3, (1, 3, 3, 1)), (5, (1, 3, 3, 3, 3, 1))):
+        q = GradedQuotient(family.build_ideal(params), 8, socle_degree=socle)
+        assert q.hilbert_data().h == h
+        with pytest.raises(NotGorensteinShapeError):
+            q.check_slp()
 
 
 def assert_criteria_agree(plain, flagged, form):
