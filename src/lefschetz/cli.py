@@ -51,6 +51,9 @@ CSV_COLUMNS = (
     "ms",
 )
 
+# every field _verdict_record writes; a cached record lacking one is malformed
+_RECORD_FIELDS = frozenset(CSV_COLUMNS + ("slp_verdict",))
+
 
 class _UsageError(Exception):
     pass
@@ -202,7 +205,8 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
     """Records of this strategy from the cache file, by parameter tuple.
 
     Lines that are not a JSON object with a ``key`` list and a ``record``
-    are skipped and counted; a nonzero count is reported on stderr.
+    object holding every field of :func:`_verdict_record` are skipped and
+    counted; a nonzero count is reported on stderr.
     """
     cached = {}
     if path is None or not path.exists():
@@ -218,6 +222,9 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
                 key = tuple(entry["key"])
                 record = entry["record"]
             except (ValueError, KeyError, TypeError):
+                malformed += 1
+                continue
+            if not isinstance(record, dict) or not _RECORD_FIELDS <= record.keys():
                 malformed += 1
                 continue
             if key == _cache_key(key[:5], cfg):
@@ -287,16 +294,12 @@ def _drain(results, jobs, cache_fh):
         yield record
 
 
-def _add_param_args(parser, require_beta=True, require_gamma=True):
+def _add_param_args(parser):
     parser.add_argument("-a", "--a", dest="a", type=int, required=True)
     parser.add_argument("-b", "--b", dest="b", type=int, required=True)
     parser.add_argument("-c", "--c", dest="c", type=int, required=True)
-    parser.add_argument(
-        "--beta", dest="beta", type=int, required=require_beta
-    )
-    parser.add_argument(
-        "--gamma", dest="gamma", type=int, required=require_gamma
-    )
+    parser.add_argument("--beta", dest="beta", type=int, required=True)
+    parser.add_argument("--gamma", dest="gamma", type=int, required=True)
 
 
 def _add_strategy_args(parser):

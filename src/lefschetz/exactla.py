@@ -17,8 +17,6 @@ from typing import Iterable, Mapping
 
 from . import kernels
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -171,7 +169,7 @@ def _integer_row(row: Mapping) -> dict:
 def rref(m: RatMatrix) -> EchelonForm:
     """Reduced row echelon form with pivot entries equal to one."""
     int_rows = [_integer_row(r) for r in m.row_dicts() if r]
-    pivot_rows, pivot_cols = kernels.rref_int(int_rows, m.cols)
+    pivot_rows, pivot_cols = kernels.rref_int(int_rows)
     entries = {}
     for i, (row, pcol) in enumerate(zip(pivot_rows, pivot_cols)):
         lead = row[pcol]

@@ -2,16 +2,12 @@
 
 Rows are sparse ``{column: value}`` mappings with nonzero integer values.
 ``rref_int`` produces primitive, fully reduced rows; ``det_bareiss`` is a
-fraction-free determinant.  A dense code path takes over when the input is
-more than half full, where per-entry dict bookkeeping costs more than the
-zeros it skips.
+fraction-free determinant.
 """
 
 from math import gcd
 
 BACKEND = "python"  # the only implementation; benchmark runs record it
-
-DENSE_FILL_CUTOFF = 0.5
 
 
 def _content(values):
@@ -50,7 +46,15 @@ def _eliminate(row, piv, col):
     return out
 
 
-def _rref_sparse(rows):
+def rref_int(rows):
+    """Reduced echelon form of sparse integer rows.
+
+    Returns ``(pivot_rows, pivot_columns)`` with ``pivot_columns`` strictly
+    increasing.  ``pivot_rows[i]`` is a primitive integer row whose entry at
+    ``pivot_columns[i]`` is positive and whose entries at every other pivot
+    column vanish; dividing each row by its pivot entry therefore recovers
+    the rational reduced echelon form.
+    """
     pivots = {}
     for src in rows:
         row = dict(src)
@@ -73,108 +77,6 @@ def _rref_sparse(rows):
                 row = _eliminate(row, out[k], c)
         out[j] = _primitive(row)
     return out, cols
-
-
-def _dense_primitive(row, lead, ncols):
-    g = 0
-    for i in range(lead, ncols):
-        v = row[i]
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
-    if row[lead] < 0:
-        g = -g
-    if g != 1:
-        for i in range(lead, ncols):
-            if row[i]:
-                row[i] //= g
-
-
-def _rref_dense(rows, ncols):
-    placed = []  # (lead column, row), insertion order
-    pivot_of = [-1] * ncols
-    for row in rows:
-        lead = -1
-        for i in range(ncols):
-            if row[i]:
-                lead = i
-                break
-        while lead >= 0:
-            pi = pivot_of[lead]
-            if pi < 0:
-                _dense_primitive(row, lead, ncols)
-                pivot_of[lead] = len(placed)
-                placed.append((lead, row))
-                break
-            prow = placed[pi][1]
-            a = prow[lead]
-            b = row[lead]
-            g = gcd(a, b)
-            am = a // g
-            bm = b // g
-            if am == 1:
-                for i in range(lead, ncols):
-                    row[i] -= bm * prow[i]
-            else:
-                for i in range(lead, ncols):
-                    row[i] = am * row[i] - bm * prow[i]
-            nxt = -1
-            for i in range(lead + 1, ncols):
-                if row[i]:
-                    nxt = i
-                    break
-            if nxt >= 0:
-                _dense_primitive(row, nxt, ncols)
-            lead = nxt
-    placed.sort(key=lambda item: item[0])
-    for j in range(len(placed) - 1, -1, -1):
-        lead_j, rj = placed[j]
-        for k in range(j + 1, len(placed)):
-            lead_k, rk = placed[k]
-            b = rj[lead_k]
-            if b:
-                a = rk[lead_k]
-                g = gcd(a, b)
-                am = a // g
-                bm = b // g
-                if am != 1:
-                    for i in range(lead_j, ncols):
-                        rj[i] *= am
-                for i in range(lead_k, ncols):
-                    rj[i] -= bm * rk[i]
-        _dense_primitive(rj, lead_j, ncols)
-    out = []
-    cols = []
-    for lead, row in placed:
-        cols.append(lead)
-        out.append({i: row[i] for i in range(lead, ncols) if row[i]})
-    return out, cols
-
-
-def rref_int(rows, ncols):
-    """Reduced echelon form of sparse integer rows.
-
-    Returns ``(pivot_rows, pivot_columns)`` with ``pivot_columns`` strictly
-    increasing.  ``pivot_rows[i]`` is a primitive integer row whose entry at
-    ``pivot_columns[i]`` is positive and whose entries at every other pivot
-    column vanish; dividing each row by its pivot entry therefore recovers
-    the rational reduced echelon form.
-    """
-    if ncols <= 0 or not rows:
-        return [], []
-    nnz = 0
-    for r in rows:
-        nnz += len(r)
-    if nnz > DENSE_FILL_CUTOFF * len(rows) * ncols:
-        dense = []
-        for r in rows:
-            row = [0] * ncols
-            for c, v in r.items():
-                row[c] = v
-            dense.append(row)
-        return _rref_dense(dense, ncols)
-    return _rref_sparse(rows)
 
 
 def det_bareiss(mat):

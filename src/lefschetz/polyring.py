@@ -158,13 +158,6 @@ class HomogeneousPoly:
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         return self + (-other)
 
-    def scale(self, scalar) -> "HomogeneousPoly":
-        q = Fraction(scalar)
-        out = HomogeneousPoly.__new__(HomogeneousPoly)
-        out.nvars, out.degree = self.nvars, self.degree
-        out.terms = {m: c * q for m, c in self.terms.items()} if q else {}
-        return out
-
     def multiply_monomial(self, mono: Monomial) -> "HomogeneousPoly":
         mono = tuple(mono)
         if len(mono) != self.nvars or any(e < 0 for e in mono):
@@ -392,30 +385,15 @@ def eliminate_linear_form(
         )
         replacement_terms[reduced] = -coeff / lead
     replacement = HomogeneousPoly(nv, 1, replacement_terms)
-    powers = {0: HomogeneousPoly(nv, 0, {(0,) * nv: 1})}
-
-    def power(e: int) -> HomogeneousPoly:
-        p = powers.get(e)
-        if p is None:
-            p = power(e - 1) * replacement
-            powers[e] = p
-        return p
-
     new_gens = []
     for g in ideal.generators:
-        acc = {}
+        image = HomogeneousPoly.zero(nv, g.degree)
         for mono, coeff in g.terms.items():
-            e = mono[eliminated_var]
-            rest = tuple(v for i, v in enumerate(mono) if i != eliminated_var)
-            for m2, c2 in power(e).terms.items():
-                key = mono_mul(rest, m2)
-                w = acc.get(key, _ZERO) + coeff * c2
-                if w:
-                    acc[key] = w
-                else:
-                    acc.pop(key, None)
-        if acc:
-            new_gens.append(HomogeneousPoly(nv, g.degree, acc))
+            rest = mono[:eliminated_var] + mono[eliminated_var + 1 :]
+            term = HomogeneousPoly.monomial(nv, rest, coeff)
+            image = image + term * replacement ** mono[eliminated_var]
+        if not image.is_zero():
+            new_gens.append(image)
     return IdealPresentation(nv, new_gens)
 
 

@@ -457,7 +457,25 @@ class GradedQuotient:
         return rec is None or rec.maximal
 
     def colon_slice_dim(self, divisor: HomogeneousPoly, degree: int) -> int:
-        return _colon_slice_dim(self.ideal, divisor, degree, self.slice)
+        """dim of the degree-``degree`` piece of the colon ideal
+        (ideal : divisor).
+
+        A polynomial of that degree lies in the colon exactly when its
+        product with the divisor falls into the ideal, so the answer is the
+        kernel dimension of multiply-then-reduce; a degree-zero divisor
+        recovers the slice dimension of the ideal itself.  The target slice
+        of degree ``degree + divisor.degree`` must lie within the cap.
+        """
+        if degree < 0:
+            raise ValueError("degree must be nonnegative")
+        if divisor.is_zero():
+            raise ValueError("divisor must be nonzero")
+        if divisor.nvars != self.ideal.nvars:
+            raise ValueError("divisor variable count mismatch")
+        target = self.slice(degree + divisor.degree)
+        source = monomial_basis(self.ideal.nvars, degree)
+        product = _multiply_into(source, divisor, target)
+        return len(source) - exactla.rank(product)
 
     def quotient_vector(self, poly: HomogeneousPoly) -> dict:
         """Coordinates of a polynomial's residue on the standard monomials
@@ -481,31 +499,6 @@ def _multiply_into(sources, poly: HomogeneousPoly, target) -> RatMatrix:
         for col, value in rem.items():
             entries[(row_of[col], j)] = value
     return RatMatrix(len(target.standard_monomials), len(sources), entries)
-
-
-def _colon_slice_dim(ideal, divisor, degree, slice_provider) -> int:
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if divisor.is_zero():
-        raise ValueError("divisor must be nonzero")
-    if divisor.nvars != ideal.nvars:
-        raise ValueError("divisor variable count mismatch")
-    target = slice_provider(degree + divisor.degree)
-    source = monomial_basis(ideal.nvars, degree)
-    return len(source) - exactla.rank(_multiply_into(source, divisor, target))
-
-
-def colon_slice_dim(
-    ideal: IdealPresentation, divisor: HomogeneousPoly, degree: int
-) -> int:
-    """dim of the degree-``degree`` piece of the colon ideal (ideal : divisor).
-
-    A polynomial of that degree lies in the colon exactly when its product
-    with the divisor falls into the ideal, so the answer is the kernel
-    dimension of multiply-then-reduce; a degree-zero divisor recovers the
-    slice dimension of the ideal itself.
-    """
-    return _colon_slice_dim(ideal, divisor, degree, lambda d: ideal_degree_slice(ideal, d))
 
 
 def residue_membership(ideal: IdealPresentation, degree: int) -> list:

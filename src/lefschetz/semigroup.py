@@ -144,22 +144,3 @@ class NumericalSemigroup:
             counts[o] += 1
         return tuple(counts)
 
-
-def membership(semigroup: NumericalSemigroup, x: int) -> bool:
-    return semigroup.membership(x)
-
-
-def order(semigroup: NumericalSemigroup, x: int) -> int:
-    return semigroup.order(x)
-
-
-def apery(semigroup: NumericalSemigroup) -> AperySet:
-    return semigroup.apery()
-
-
-def is_m_pure_symmetric(semigroup: NumericalSemigroup) -> tuple:
-    return semigroup.is_m_pure_symmetric()
-
-
-def order_histogram(semigroup: NumericalSemigroup) -> tuple:
-    return semigroup.order_histogram()

@@ -187,12 +187,16 @@ def test_sweep_cache_reports_malformed_lines(capsys, tmp_path):
     cache = tmp_path / "sweep.jsonl"
     code, out1, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
     assert (code, err) == (0, "")
+    key = "[2, 2, 2, 1, 1, 8, 10000, 0, false]"
     with cache.open("a", encoding="utf-8") as fh:
         fh.write('{"key": [2, 2, 2, 1\n')
+        # a matching key whose record is not a full record
+        fh.write('{"key": %s, "record": {}}\n' % key)
+        fh.write('{"key": %s, "record": 5}\n' % key)
     code, out2, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
     assert code == 0
     assert out1 == out2
-    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
+    assert err == f"warning: skipped 3 malformed line(s) in cache {cache}\n"
 
 
 def test_sweep_cache_ignores_other_strategies(capsys, tmp_path):

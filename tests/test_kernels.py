@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import kernels
-from value_oracles import laplace_det, naive_rank
+from value_oracles import laplace_det, naive_rank, naive_rref
 
 
 def _as_dicts(rows):
@@ -28,14 +29,14 @@ small_matrix = st.integers(min_value=1, max_value=6).flatmap(
 
 def test_rref_identity_fixed_point():
     rows = [{0: 1}, {1: 1}, {2: 1}]
-    out, cols = kernels.rref_int(rows, 3)
+    out, cols = kernels.rref_int(rows)
     assert out == rows
     assert cols == [0, 1, 2]
 
 
 def test_rref_drops_zero_and_duplicate_rows():
     rows = [{0: 2, 1: 4}, {}, {0: 1, 1: 2}, {0: -3, 1: -6}]
-    out, cols = kernels.rref_int(rows, 2)
+    out, cols = kernels.rref_int(rows)
     assert cols == [0]
     assert out == [{0: 1, 1: 2}]
 
@@ -44,7 +45,7 @@ def test_rref_rows_are_primitive_with_positive_pivot():
     from math import gcd
 
     rows = [{0: 4, 1: 6, 2: 10}, {0: 2, 2: 8}]
-    out, cols = kernels.rref_int(rows, 3)
+    out, cols = kernels.rref_int(rows)
     pivot_set = set(cols)
     for row, pcol in zip(out, cols):
         assert row[pcol] > 0
@@ -56,13 +57,13 @@ def test_rref_rows_are_primitive_with_positive_pivot():
 
 def test_rref_canonical_under_row_scaling_and_order():
     base = [[1, 2, 0, 3], [0, 1, 1, 1], [2, 5, 1, 7]]
-    reference = kernels.rref_int(_as_dicts(base), 4)
+    reference = kernels.rref_int(_as_dicts(base))
     scaled = [[7 * v for v in base[0]], [-3 * v for v in base[1]], base[2]]
     shuffled = [scaled[2], scaled[0], scaled[1]]
-    assert kernels.rref_int(_as_dicts(shuffled), 4) == reference
+    assert kernels.rref_int(_as_dicts(shuffled)) == reference
 
 
-def test_sparse_and_dense_paths_agree():
+def test_rref_rows_scaled_by_pivot_match_gauss_jordan():
     rng = random.Random(4)
     for _ in range(40):
         nrows = rng.randint(1, 8)
@@ -71,17 +72,20 @@ def test_sparse_and_dense_paths_agree():
             [rng.randint(-6, 6) if rng.random() < 0.6 else 0 for _ in range(ncols)]
             for _ in range(nrows)
         ]
-        dicts = _as_dicts(rows)
-        sparse = kernels._rref_sparse([dict(r) for r in dicts])
-        dense = kernels._rref_dense([list(r) for r in rows], ncols)
-        assert sparse == dense
+        out, cols = kernels.rref_int(_as_dicts(rows))
+        expected = naive_rref(rows)
+        assert cols == [next(j for j, v in enumerate(r) if v) for r in expected]
+        scaled = [
+            [Fraction(row.get(j, 0), row[c]) for j in range(ncols)]
+            for row, c in zip(out, cols)
+        ]
+        assert scaled == expected
 
 
 @given(small_matrix)
 @settings(max_examples=120)
 def test_rref_rank_matches_naive_elimination(rows):
-    ncols = len(rows[0])
-    _, cols = kernels.rref_int(_as_dicts(rows), ncols)
+    _, cols = kernels.rref_int(_as_dicts(rows))
     assert len(cols) == naive_rank(rows)
 
 

@@ -24,7 +24,6 @@ from lefschetz.quotient import (
     NotArtinianWithinCapError,
     NotGorensteinShapeError,
     SearchStrategy,
-    colon_slice_dim,
     fixed_candidate,
     is_gorenstein_symmetric,
     residue_membership,
@@ -345,15 +344,17 @@ def test_symmetric_non_gorenstein_keeps_the_full_wlp_scan():
 def test_colon_with_unit_recovers_slice():
     ideal = parse_ideal("x^2, y^2, z^3")
     one = HomogeneousPoly(3, 0, {(0, 0, 0): 1})
+    q = GradedQuotient(ideal)
     for d in range(5):
-        assert colon_slice_dim(ideal, one, d) == ideal_degree_slice(ideal, d).rank
+        assert q.colon_slice_dim(one, d) == ideal_degree_slice(ideal, d).rank
 
 
 def test_colon_single_variable_ring():
     ideal = parse_ideal("x^2", nvars=1, names=("x",))
     x = parse_poly("x", 1, ("x",))
-    assert colon_slice_dim(ideal, x, 0) == 0
-    assert colon_slice_dim(ideal, x, 1) == 1  # x*x lands in (x^2)
+    q = GradedQuotient(ideal)
+    assert q.colon_slice_dim(x, 0) == 0
+    assert q.colon_slice_dim(x, 1) == 1  # x*x lands in (x^2)
 
 
 def test_family_ideal_is_colon_of_its_complete_intersection():
@@ -363,8 +364,9 @@ def test_family_ideal_is_colon_of_its_complete_intersection():
     ci = family.build_ci(a, b, c, gamma)
     ideal = family.build_ideal(params)
     y_beta = HomogeneousPoly.monomial(3, (0, beta, 0))
+    q = GradedQuotient(ci)
     for d in range(params.socle_degree + 2):
-        assert colon_slice_dim(ci, y_beta, d) == ideal_degree_slice(ideal, d).rank
+        assert q.colon_slice_dim(y_beta, d) == ideal_degree_slice(ideal, d).rank
 
 
 def test_residue_membership_flags():

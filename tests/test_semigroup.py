@@ -6,11 +6,6 @@ from lefschetz.semigroup import (
     AperySet,
     NotInSemigroupError,
     NumericalSemigroup,
-    apery,
-    is_m_pure_symmetric,
-    membership,
-    order,
-    order_histogram,
 )
 from value_oracles import length_sets
 
@@ -59,15 +54,6 @@ def test_generator_validation():
     with pytest.raises(ValueError):
         NumericalSemigroup([7, 7])
     assert NumericalSemigroup([7, 5, 5, 6, 8]).generators == (5, 6, 7, 8)
-
-
-def test_module_level_wrappers():
-    s = NumericalSemigroup([5, 6, 7, 8])
-    assert membership(s, 6) and not membership(s, 4)
-    assert order(s, 14) == 2
-    assert apery(s).modulus == 5
-    assert is_m_pure_symmetric(s)[0]
-    assert order_histogram(s) == (1, 3, 1)
 
 
 generator_sets = st.lists(

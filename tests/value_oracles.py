@@ -1,7 +1,7 @@
 """Independent recomputations used to cross-check the package.
 
 Everything here is deliberately naive: generating-function coefficient
-arrays, cofactor determinants, plain dense Gaussian elimination, and
+arrays, cofactor determinants, plain dense Gauss-Jordan elimination, and
 exhaustive monomial counting.  None of it shares code with the package
 under test.
 """
@@ -46,11 +46,12 @@ def laplace_det(rows) -> Fraction:
     return total
 
 
-def naive_rank(rows) -> int:
-    """Textbook Gaussian elimination over the rationals."""
+def naive_rref(rows) -> list:
+    """Textbook Gauss-Jordan elimination over the rationals: the nonzero
+    rows of the reduced row echelon form, each with leading entry 1."""
     work = [[Fraction(v) for v in row] for row in rows]
     if not work:
-        return 0
+        return []
     ncols = len(work[0])
     rank = 0
     for col in range(ncols):
@@ -69,7 +70,11 @@ def naive_rank(rows) -> int:
                 f = work[i][col]
                 work[i] = [v - f * p for v, p in zip(work[i], work[rank])]
         rank += 1
-    return rank
+    return work[:rank]
+
+
+def naive_rank(rows) -> int:
+    return len(naive_rref(rows))
 
 
 def length_sets(generators, upto: int) -> list:
