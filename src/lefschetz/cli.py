@@ -53,6 +53,7 @@ CSV_COLUMNS = (
 
 # every field _verdict_record writes; a cached record lacking one is malformed
 _RECORD_FIELDS = frozenset(CSV_COLUMNS + ("slp_verdict",))
+_VERDICTS = (HOLDS, FAILS_PROBABLY)
 
 
 class _UsageError(Exception):
@@ -80,8 +81,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.a_max < self.a_min or self.a_min < 2:
             raise ValueError("need 2 <= a_min <= a_max")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        SearchStrategy(self.trials, self.bound, self.seed)  # checks trials and bound
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.filter not in ("all", "covered", "uncovered"):
@@ -201,12 +201,35 @@ def _resolve_cache_path(explicit, cfg: SweepConfig):
     return None
 
 
+def _well_formed(key: tuple, r) -> bool:
+    """Whether the cached record ``r`` has every field of
+    :func:`_verdict_record`, of the type it writes, for the parameters
+    ``key[:5]``."""
+    if not isinstance(r, dict) or not _RECORD_FIELDS <= r.keys():
+        return False
+    params = (r["a"], r["b"], r["c"], r["beta"], r["gamma"])
+    return (
+        params == key[:5]
+        and all(type(v) is int for v in params)
+        and isinstance(r["h"], list)
+        and all(type(v) is int for v in r["h"])
+        and isinstance(r["flags"], list)
+        and all(isinstance(f, str) for f in r["flags"])
+        and type(r["D"]) is int
+        and type(r["covered"]) is bool
+        and r["verdict"] in _VERDICTS
+        and r["slp_verdict"] in _VERDICTS + (None,)
+        and (r["certificate"] is None or isinstance(r["certificate"], str))
+        and type(r["ms"]) in (int, float)
+    )
+
+
 def _load_cache(path, cfg: SweepConfig) -> dict:
     """Records of this strategy from the cache file, by parameter tuple.
 
-    Lines that are not a JSON object with a ``key`` list and a ``record``
-    object holding every field of :func:`_verdict_record` are skipped and
-    counted; a nonzero count is reported on stderr.
+    Lines that are not a JSON object with a ``key`` list and a
+    :func:`_well_formed` ``record`` are skipped and counted; a nonzero count
+    is reported on stderr.
     """
     cached = {}
     if path is None or not path.exists():
@@ -224,7 +247,7 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
             except (ValueError, KeyError, TypeError):
                 malformed += 1
                 continue
-            if not isinstance(record, dict) or not _RECORD_FIELDS <= record.keys():
+            if not _well_formed(key, record):
                 malformed += 1
                 continue
             if key == _cache_key(key[:5], cfg):

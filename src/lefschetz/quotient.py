@@ -39,10 +39,10 @@ class CapExceededError(ValueError):
 
 
 class NotGorensteinShapeError(ValueError):
-    """The Hilbert vector is not symmetric with a one-dimensional top, or a
-    built slice contradicts the vector mirrored from a stated socle degree,
-    so the quotient cannot be Gorenstein of that shape and the
-    middle-degree criterion is void."""
+    """A built slice contradicts the Hilbert vector mirrored from a stated
+    socle degree, or that vector rises past its middle degree, so the
+    quotient cannot be Gorenstein of that shape in codimension three and
+    the middle-degree criterion is void."""
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,9 @@ class HilbertData:
 
 
 @dataclass(frozen=True)
-class DegreeRank:
-    degree: int
-    dim_from: int
-    dim_to: int
-    rank: int
-    maximal: bool
+class MapRank:
+    """Rank of multiplication by a power of a form, A_degree -> A_{degree+power}."""
 
-
-@dataclass(frozen=True)
-class PowerRank:
     degree: int
     power: int
     dim_from: int
@@ -136,25 +129,13 @@ class PowerRank:
 
 
 @dataclass(frozen=True)
-class WlpReport:
+class LefschetzReport:
+    """Verdict of a WLP or SLP search, with the records of the last form tried."""
+
     verdict: str
     certificate_form: LinearForm | None
-    per_degree: tuple
+    per_map: tuple
     strategy: dict = field(compare=False)
-
-
-@dataclass(frozen=True)
-class SlpReport:
-    verdict: str
-    certificate_form: LinearForm | None
-    per_power: tuple
-    strategy: dict = field(compare=False)
-
-
-def is_gorenstein_symmetric(data: HilbertData) -> bool:
-    """True when the Hilbert vector is palindromic with a one-dimensional
-    top degree."""
-    return data.h[-1] == 1 and data.h == tuple(reversed(data.h))
 
 
 def _random_form(rng: random.Random, nvars: int, bound: int) -> LinearForm:
@@ -193,11 +174,16 @@ class GradedQuotient:
 
     ``socle_degree=D`` states that the quotient is known to be Artinian
     Gorenstein with socle degree D.  :meth:`hilbert_data` then builds only
-    the lower half of the Hilbert vector and mirrors the rest, and
-    :meth:`certify` decides WLP by the single middle-degree rank of
-    :meth:`check_wlp_gorenstein_middle`.  It is a fact about the input,
-    checked only by the necessary conditions that :meth:`hilbert_data` and
-    the rank helpers test.
+    the lower half of the Hilbert vector and mirrors the rest, and WLP is
+    decided by the single middle-degree map.  It is a fact about the input,
+    checked only by necessary conditions: the mirror checks of
+    :meth:`hilbert_data`, the unimodality check of :meth:`_pairs` and the
+    target-slice check of :meth:`_checked_rank`.
+
+    WLP and SLP share one scan: :meth:`_pairs` chooses the maps and names
+    the criterion (``middle``, ``narrow`` or ``full``), :meth:`_scan`
+    ranks them into :class:`MapRank` records, and :meth:`_search` returns a
+    :class:`LefschetzReport`.
     """
 
     def __init__(
@@ -316,37 +302,29 @@ class GradedQuotient:
             )
         return exactla.rank(m)
 
-    def _rank(self, form: LinearForm, degree: int, power: int) -> tuple:
-        """(rank, maximal) of multiplication by ``form**power`` out of
-        ``degree``."""
-        h = self.hilbert_data().h
-        r = self._checked_rank(form, degree, power)
-        return r, r == min(h[degree], h[degree + power])
+    def _pairs(self, strong: bool) -> tuple:
+        """(criterion, [(power, degree), ...]): the maps ×ℓ^power:
+        A_degree -> A_{degree+power} whose ranks decide WLP, or SLP when
+        ``strong``, for one form ℓ.
 
-    def certify(self, form: LinearForm) -> tuple:
-        """WLP test of one form; returns (holds, per-degree records).
+        WLP.  With ``socle_degree=D`` one map decides (``middle``): an
+        Artinian Gorenstein quotient has WLP for ℓ exactly when
+        ×ℓ: A_m -> A_{m+1}, m = floor(D/2), is surjective
+        (Migliore-Miró-Roig-Nagel, Trans. AMS 363 (2011), §2).  A record is
+        maximal when its rank is the smaller dimension, which means onto
+        only when h(m) >= h(m+1).  Codimension-three Gorenstein Hilbert
+        vectors are unimodal (Stanley 1978), so a rise past the middle
+        raises :class:`NotGorensteinShapeError`.  Being Gorenstein is the
+        caller's premise, and a symmetric unimodal vector does not imply
+        it: ``x^2, x*y, x*z, y^3, y^2*z^2, z^4`` has h = (1, 3, 3, 3, 1) and
+        passes the middle test with ``x - y - z``, yet x is a degree-one
+        socle element that every form kills, so WLP fails.  Without a
+        stated socle degree every ×ℓ: A_d -> A_{d+1} is scanned (``full``).
 
-        A quotient built with ``socle_degree`` is decided by the one
-        middle-degree record of :meth:`check_wlp_gorenstein_middle`; any
-        other scans every consecutive degree pair for maximal rank.
-        """
-        if self.socle_degree is not None:
-            rec = self._middle_rank(form)
-            return (True, ()) if rec is None else (rec.maximal, (rec,))
-        h = self.hilbert_data().h
-        per = []
-        for d in range(len(h) - 1):
-            r, maximal = self._rank(form, d, 1)
-            per.append(DegreeRank(d, h[d], h[d + 1], r, maximal))
-        return all(rec.maximal for rec in per), tuple(per)
-
-    def _power_pairs(self) -> tuple:
-        """(criterion, (power, degree) pairs) that decide SLP for a form.
-
-        A palindromic Hilbert vector (h_i = h_{D-i}) needs only the square
-        maps ×ℓ^{D-2i}: A_i -> A_{D-i} for i < (D+1)/2.  Form by form, they
-        are all bijective exactly when every ×ℓ^k: A_i -> A_{i+k} has
-        maximal rank:
+        SLP.  A palindromic Hilbert vector (h_i = h_{D-i}) needs only the
+        square maps ×ℓ^{D-2i}: A_i -> A_{D-i} for i < (D+1)/2 (``narrow``).
+        Form by form, they are all bijective exactly when every
+        ×ℓ^k: A_i -> A_{i+k} has maximal rank:
 
         - narrow => full.  If i+k <= D-i, then ℓ^{D-2i} = ℓ^{D-2i-k}·ℓ^k is
           injective on A_i, so ×ℓ^k is too.  Otherwise let j = i+k, so
@@ -356,105 +334,86 @@ class GradedQuotient:
           and a map of maximal rank between pieces of equal dimension is
           bijective.
 
-        So the fixed-then-random search visits the same forms and returns
-        the same verdict and certificate.  Any other Hilbert vector keeps
-        the full scan over every power and compatible degree.
+        Any other Hilbert vector scans every power and compatible degree
+        (``full``).  So the fixed-then-random search visits the same forms
+        and returns the same verdict and certificate as the full scan.
         """
         data = self.hilbert_data()
-        top = data.socle_degree
-        if data.h == data.h[::-1]:
-            pairs = [(top - 2 * d, d) for d in range((top + 1) // 2)]
-            return "narrow", pairs
-        pairs = [(p, d) for p in range(1, top + 1) for d in range(top - p + 1)]
-        return "full", pairs
+        h, top = data.h, data.socle_degree
+        if strong:
+            if h == h[::-1]:
+                return "narrow", [(top - 2 * d, d) for d in range((top + 1) // 2)]
+            return "full", [
+                (p, d) for p in range(1, top + 1) for d in range(top - p + 1)
+            ]
+        if self.socle_degree is None:
+            return "full", [(1, d) for d in range(top)]
+        middle = top // 2
+        pairs = [(1, middle)] if middle < top else []
+        if pairs and h[middle] < h[middle + 1]:
+            raise NotGorensteinShapeError(
+                f"Hilbert vector {h} rises past its middle degree {middle}"
+            )
+        return "middle", pairs
 
-    def certify_powers(self, form: LinearForm) -> tuple:
-        """SLP test of one form over the pairs of :meth:`_power_pairs`;
-        returns (holds, per-pair records)."""
+    def _scan(self, form: LinearForm, pairs) -> tuple:
+        """(holds, records): one :class:`MapRank` per (power, degree) pair,
+        maximal when the rank is the smaller of the two dimensions."""
         h = self.hilbert_data().h
         per = []
-        for power, d in self._power_pairs()[1]:
-            r, maximal = self._rank(form, d, power)
-            per.append(PowerRank(d, power, h[d], h[d + power], r, maximal))
+        for power, d in pairs:
+            r = self._checked_rank(form, d, power)
+            dim_from, dim_to = h[d], h[d + power]
+            per.append(
+                MapRank(d, power, dim_from, dim_to, r, r == min(dim_from, dim_to))
+            )
         return all(rec.maximal for rec in per), tuple(per)
 
-    def _search(self, scan, criterion: str, strategy: SearchStrategy | None) -> tuple:
+    def certify(self, form: LinearForm) -> tuple:
+        """WLP test of one form over the maps of :meth:`_pairs`."""
+        return self._scan(form, self._pairs(strong=False)[1])
+
+    def certify_powers(self, form: LinearForm) -> tuple:
+        """SLP test of one form over the maps of :meth:`_pairs`."""
+        return self._scan(form, self._pairs(strong=True)[1])
+
+    def _search(self, strong: bool, strategy: SearchStrategy | None):
+        """Try the fixed candidate, then ``strategy.trials`` random forms.
+
+        ``HOLDS`` carries the certificate and its records; ``FAILS_PROBABLY``
+        reports the last random trial's records.  ``strategy`` names the
+        criterion of :meth:`_pairs`.
+        """
+        scan = self.certify_powers if strong else self.certify
         strategy = strategy or SearchStrategy()
         meta = {
             "trials": strategy.trials,
             "bound": strategy.bound,
             "seed": strategy.seed,
-            "criterion": criterion,
+            "criterion": self._pairs(strong)[0],
         }
         fixed = fixed_candidate(self.ideal.nvars)
         ok, per = scan(fixed)
         if ok:
             meta.update(certificate="fixed", random_trials_used=0)
-            return HOLDS, fixed, per, meta
+            return LefschetzReport(HOLDS, fixed, per, meta)
         rng = random.Random(strategy.seed)
         for t in range(strategy.trials):
             form = _random_form(rng, self.ideal.nvars, strategy.bound)
             ok, per = scan(form)
             if ok:
                 meta.update(certificate="random", random_trials_used=t + 1)
-                return HOLDS, form, per, meta
+                return LefschetzReport(HOLDS, form, per, meta)
         meta.update(certificate=None, random_trials_used=strategy.trials)
-        return FAILS_PROBABLY, None, per, meta
+        return LefschetzReport(FAILS_PROBABLY, None, per, meta)
 
-    def check_wlp(self, strategy: SearchStrategy | None = None) -> WlpReport:
-        """Hunt for a single linear form with maximal rank between every
-        consecutive pair of degrees.
+    def check_wlp(self, strategy: SearchStrategy | None = None) -> LefschetzReport:
+        """Hunt for a linear form with the weak Lefschetz property."""
+        return self._search(False, strategy)
 
-        ``HOLDS`` carries the certificate and its per-degree records;
-        ``FAILS_PROBABLY`` reports the last random trial's records after the
-        fixed candidate and all random draws failed.  ``strategy`` names the
-        criterion: ``"middle"`` for a quotient built with ``socle_degree``,
-        else ``"full"``.
-        """
-        criterion = "middle" if self.socle_degree is not None else "full"
-        verdict, cert, per, meta = self._search(self.certify, criterion, strategy)
-        return WlpReport(verdict, cert, per, meta)
-
-    def check_slp(self, strategy: SearchStrategy | None = None) -> SlpReport:
-        """Like :meth:`check_wlp` but over powers of the form; the
-        criterion is ``"narrow"`` or ``"full"`` as in :meth:`_power_pairs`."""
-        criterion = self._power_pairs()[0]
-        verdict, cert, per, meta = self._search(
-            self.certify_powers, criterion, strategy
-        )
-        return SlpReport(verdict, cert, per, meta)
-
-    def _middle_rank(self, form: LinearForm) -> DegreeRank | None:
-        """Record of ×form: A_{floor(D/2)} -> A_{floor(D/2)+1}, whose
-        ``maximal`` flag means surjective; None when D = 0."""
-        data = self.hilbert_data()
-        if not is_gorenstein_symmetric(data):
-            raise NotGorensteinShapeError(
-                f"Hilbert vector {data.h} is not symmetric with top 1"
-            )
-        middle = data.socle_degree // 2
-        target = middle + 1
-        if target > data.socle_degree:
-            return None
-        r = self._checked_rank(form, middle, 1)
-        h = data.h
-        return DegreeRank(middle, h[middle], h[target], r, r == h[target])
-
-    def check_wlp_gorenstein_middle(self, form: LinearForm) -> bool:
-        """Middle-degree surjectivity test for Gorenstein quotients.
-
-        For an Artinian Gorenstein quotient of socle degree D, a form has WLP
-        exactly when ×form: A_{floor(D/2)} -> A_{floor(D/2)+1} is surjective
-        (Migliore-Miró-Roig-Nagel, Trans. AMS 363 (2011), §2), so one rank
-        decides.  Being Gorenstein is the caller's premise, and a symmetric
-        Hilbert vector does not imply it: ``x^2, x*y, x*z, y^3, y^2*z^2,
-        z^4`` has h = (1, 3, 3, 3, 1) and passes this test with ``x - y - z``,
-        yet x is a degree-one socle element that every form kills, so WLP
-        fails.  :class:`NotGorensteinShapeError` checks only a necessary
-        shape: a palindromic Hilbert vector with top value 1.
-        """
-        rec = self._middle_rank(form)
-        return rec is None or rec.maximal
+    def check_slp(self, strategy: SearchStrategy | None = None) -> LefschetzReport:
+        """Hunt for a linear form with the strong Lefschetz property."""
+        return self._search(True, strategy)
 
     def colon_slice_dim(self, divisor: HomogeneousPoly, degree: int) -> int:
         """dim of the degree-``degree`` piece of the colon ideal

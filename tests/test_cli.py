@@ -6,7 +6,7 @@ import json
 import pytest
 
 from lefschetz import cli, family
-from lefschetz.quotient import FAILS_PROBABLY, GradedQuotient, WlpReport
+from lefschetz.quotient import FAILS_PROBABLY, GradedQuotient, LefschetzReport
 
 
 def run(argv, capsys):
@@ -93,7 +93,7 @@ def test_help_exits_zero(capsys):
 
 def test_forced_failure_exit_two(capsys, monkeypatch):
     def fake_check_wlp(self, strategy=None):
-        return WlpReport(FAILS_PROBABLY, None, (), {})
+        return LefschetzReport(FAILS_PROBABLY, None, (), {})
 
     monkeypatch.setattr(GradedQuotient, "check_wlp", fake_check_wlp)
     # (8,7,6,3,2) is uncovered, so a failure is a finding, not a bug
@@ -107,7 +107,7 @@ def test_forced_failure_exit_two(capsys, monkeypatch):
 
 def test_covered_failure_exit_four(capsys, monkeypatch):
     def fake_check_wlp(self, strategy=None):
-        return WlpReport(FAILS_PROBABLY, None, (), {})
+        return LefschetzReport(FAILS_PROBABLY, None, (), {})
 
     monkeypatch.setattr(GradedQuotient, "check_wlp", fake_check_wlp)
     code, _, err = run(
@@ -188,15 +188,35 @@ def test_sweep_cache_reports_malformed_lines(capsys, tmp_path):
     code, out1, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
     assert (code, err) == (0, "")
     key = "[2, 2, 2, 1, 1, 8, 10000, 0, false]"
+    good = json.loads(cache.read_text().splitlines()[0])["record"]
+    bad = [("h", 5), ("flags", 5), ("a", 3), ("ms", True), ("gamma", True)]
     with cache.open("a", encoding="utf-8") as fh:
         fh.write('{"key": [2, 2, 2, 1\n')
         # a matching key whose record is not a full record
         fh.write('{"key": %s, "record": {}}\n' % key)
         fh.write('{"key": %s, "record": 5}\n' % key)
+        # full records with a field of the wrong type or for another tuple
+        for field, value in bad:
+            record = dict(good, **{field: value})
+            fh.write('{"key": %s, "record": %s}\n' % (key, json.dumps(record)))
     code, out2, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
     assert code == 0
     assert out1 == out2
-    assert err == f"warning: skipped 3 malformed line(s) in cache {cache}\n"
+    assert err == f"warning: skipped 8 malformed line(s) in cache {cache}\n"
+    code, csv_out, err = run(
+        ["sweep", "--a-max", "2", "--cache", str(cache), "--format", "csv"], capsys
+    )
+    assert code == 0 and csv_out.count("\n") == 2
+
+
+def test_sweep_bad_strategy_exit_three(capsys):
+    # no tuple is uncovered at a = 2, so only the config check can object
+    for flag, message in (("--trials", "trials"), ("--bound", "bound")):
+        code, out, err = run(
+            ["sweep", "--a-max", "2", "--filter", "uncovered", flag, "0"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {message} must be at least 1\n"
 
 
 def test_sweep_cache_ignores_other_strategies(capsys, tmp_path):

@@ -25,7 +25,6 @@ from lefschetz.quotient import (
     NotGorensteinShapeError,
     SearchStrategy,
     fixed_candidate,
-    is_gorenstein_symmetric,
     residue_membership,
 )
 from value_oracles import ci_hilbert, monomial_ci_mult_rank, monomial_quotient_dims
@@ -37,12 +36,18 @@ def quotient_of(text, cap=None):
     return GradedQuotient(parse_ideal(text), degree_cap=cap)
 
 
+def middle_passes(text, socle, form):
+    """The middle-degree WLP test, run as the CLI runs it: ``certify`` on a
+    quotient built with ``socle_degree``."""
+    return GradedQuotient(parse_ideal(text), socle_degree=socle).certify(form)[0]
+
+
 def test_hilbert_frozen_small_example():
     q = quotient_of("x^2, y^2 - x*z, z^2, x*y, y*z")
     data = q.hilbert_data()
     assert data.h == (1, 3, 1)
     assert data.socle_degree == 2
-    assert is_gorenstein_symmetric(data)
+    assert data.h == data.h[::-1] and data.h[-1] == 1
 
 
 @pytest.mark.parametrize(
@@ -80,7 +85,7 @@ def test_big_tuple_socle_degree():
     q = GradedQuotient(family.build_ideal(params), degree_cap=21)
     data = q.hilbert_data()
     assert data.socle_degree == 15 == params.socle_degree
-    assert is_gorenstein_symmetric(data)
+    assert data.h == data.h[::-1] and data.h[-1] == 1
     assert data.h[0] == 1 and data.h[1] == 3
 
 
@@ -141,7 +146,7 @@ def test_wlp_holds_with_fixed_certificate():
     assert report.certificate_form == fixed_candidate(3)
     assert report.strategy["certificate"] == "fixed"
     assert report.strategy["random_trials_used"] == 0
-    by_degree = {r.degree: r for r in report.per_degree}
+    by_degree = {r.degree: r for r in report.per_map}
     assert by_degree[0].rank == 1 and by_degree[0].maximal
     assert by_degree[1].rank == 1 and by_degree[1].maximal
 
@@ -154,7 +159,7 @@ def test_wlp_failure_is_reported_probably():
     assert report.verdict == FAILS_PROBABLY
     assert report.certificate_form is None
     assert report.strategy["random_trials_used"] == 3
-    failed = [r for r in report.per_degree if not r.maximal]
+    failed = [r for r in report.per_map if not r.maximal]
     assert failed and failed[0].degree == 2
     assert failed[0].rank == 5  # one short of the full 6
 
@@ -164,31 +169,29 @@ def test_slp_holds_on_monomial_complete_intersection():
     report = q.check_slp()
     assert report.verdict == HOLDS
     assert report.certificate_form == fixed_candidate(3)
-    powers = {(r.power, r.degree) for r in report.per_power}
-    assert (3, 0) in powers and all(r.maximal for r in report.per_power)
+    powers = {(r.power, r.degree) for r in report.per_map}
+    assert (3, 0) in powers and all(r.maximal for r in report.per_map)
 
 
 def test_middle_criterion_true_and_false():
-    q = quotient_of("x^2, y^2, z^2")
-    assert q.check_wlp_gorenstein_middle(fixed_candidate(3)) is True
+    assert middle_passes("x^2, y^2, z^2", 3, fixed_candidate(3)) is True
     # x annihilates the socle direction it should hit
-    assert q.check_wlp_gorenstein_middle(LinearForm((1, 0, 0))) is False
+    assert middle_passes("x^2, y^2, z^2", 3, LinearForm((1, 0, 0))) is False
 
 
 def test_middle_criterion_needs_symmetry():
-    q = quotient_of(BK_IDEAL)
-    with pytest.raises(NotGorensteinShapeError):
-        q.check_wlp_gorenstein_middle(fixed_candidate(3))
-    q2 = quotient_of("x^2, x*y, x*z, y^2, y*z, z^2")
-    with pytest.raises(NotGorensteinShapeError):
-        q2.check_wlp_gorenstein_middle(fixed_candidate(3))
+    # h = 1 3 6 6 3 and h = 1 3 fail the mirror check of their socle degree
+    for text, socle in ((BK_IDEAL, 4), ("x^2, x*y, x*z, y^2, y*z, z^2", 1)):
+        with pytest.raises(NotGorensteinShapeError):
+            middle_passes(text, socle, fixed_candidate(3))
 
 
 def test_middle_criterion_agrees_with_full_scan():
     for text in ("x^2, y^2, z^2", "x^3, y^3, z^2", "x^2, y^2 - x*z, z^2, x*y, y*z"):
         q = quotient_of(text)
         ok, _ = q.certify(fixed_candidate(3))
-        assert q.check_wlp_gorenstein_middle(fixed_candidate(3)) == ok
+        socle = q.hilbert_data().socle_degree
+        assert middle_passes(text, socle, fixed_candidate(3)) == ok
 
 
 FAMILY_A4 = [p.as_tuple() for p in family.enumerate_params(4)]
@@ -256,7 +259,9 @@ def test_wrong_socle_degree_is_caught():
     h = 1 3 3 3 1 of (4, 2, 2, 1, 1) both pass that guard, as they do on
     11 of the 200 tuples with a <= 5; there the SLP square map into the
     mirrored degree builds a slice of the wrong size, which the rank
-    helper rejects.
+    helper rejects.  The monomial ideal x^3, x^2*y, x^2*z, x*y^2, x*y*z
+    passes the mirror check for D = 6 with h = 1 3 6 5 6 3 1, which rises
+    past the middle and so cannot be a codimension-three Gorenstein vector.
     """
     params = family.validate(3, 3, 3, 1, 1)
     for socle in (4, 6):
@@ -269,6 +274,12 @@ def test_wrong_socle_degree_is_caught():
         assert q.hilbert_data().h == h
         with pytest.raises(NotGorensteinShapeError):
             q.check_slp()
+    q = GradedQuotient(
+        parse_ideal("x^3, x^2*y, x^2*z, x*y^2, x*y*z"), socle_degree=6
+    )
+    assert q.hilbert_data().h == (1, 3, 6, 5, 6, 3, 1)
+    with pytest.raises(NotGorensteinShapeError):
+        q.check_wlp()
 
 
 def assert_criteria_agree(plain, flagged, form):
@@ -280,7 +291,11 @@ def assert_criteria_agree(plain, flagged, form):
     assert len(per) == plain.hilbert_data().socle_degree
     middle, middle_per = flagged.certify(form)
     assert middle == wlp
-    assert len(middle_per) == 1
+    (rec,) = middle_per
+    top = flagged.hilbert_data().socle_degree
+    assert (rec.power, rec.degree) == (1, top // 2)
+    assert rec.dim_from >= rec.dim_to
+    assert rec.maximal == (rec.rank == rec.dim_to)
     return wlp, slp
 
 
@@ -329,7 +344,7 @@ def test_symmetric_non_gorenstein_keeps_the_full_wlp_scan():
     assert q.hilbert_data().h == (1, 3, 3, 3, 1)
     fixed = fixed_candidate(3)
     # the middle test passes, but x is a socle element every form kills
-    assert q.check_wlp_gorenstein_middle(fixed) is True
+    assert middle_passes(SOCLE_KILLED_IDEAL, 4, fixed) is True
     report = q.check_wlp()
     assert report.verdict == FAILS_PROBABLY
     assert report.strategy["criterion"] == "full"
