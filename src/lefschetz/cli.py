@@ -385,7 +385,9 @@ def _build_parser() -> _Parser:
     p_hil.add_argument(
         "--ideal", metavar="TEXT", help="comma-separated generators in x, y, z"
     )
-    p_hil.add_argument("--cap", type=int, help="degree cap for ad-hoc ideals")
+    p_hil.add_argument(
+        "--cap", type=int, help="degree cap; default: the sum of generator degrees"
+    )
     p_hil.add_argument(
         "--dmax", type=int, help="print h(0..dmax) instead of stopping at zero"
     )
@@ -554,21 +556,20 @@ def _cmd_hilbert(args) -> int:
         raise _UsageError("--dmax must be nonnegative")
     if args.ideal:
         ideal = parse_ideal(args.ideal)
-        cap = args.cap
-        if cap is None:
-            cap = sum(g.degree for g in ideal.generators)
     elif None not in (args.a, args.b, args.c, args.gamma):
         if args.beta is not None:
             params = family.validate(args.a, args.b, args.c, args.beta, args.gamma)
             ideal = family.build_ideal(params)
         else:
             ideal = family.build_ci(args.a, args.b, args.c, args.gamma)
-        cap = args.a + args.b + args.c
     else:
         raise _UsageError(
             "provide --ideal TEXT, or -a -b -c --gamma "
             "(plus --beta for the full family)"
         )
+    cap = args.cap
+    if cap is None:
+        cap = sum(g.degree for g in ideal.generators)
     if args.dmax is not None:
         cap = max(cap, args.dmax)
     q = GradedQuotient(ideal, degree_cap=cap)

@@ -32,7 +32,7 @@ def _coerce(value) -> Fraction:
 class RatMatrix:
     """Sparse rational matrix, treated as immutable once constructed."""
 
-    __slots__ = ("rows", "cols", "entries", "_rowcache")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
         if rows < 0 or cols < 0:
@@ -50,7 +50,6 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = cleaned
-        self._rowcache = None
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable]) -> "RatMatrix":
@@ -81,7 +80,6 @@ class RatMatrix:
         m.rows = nrows
         m.cols = cols
         m.entries = entries
-        m._rowcache = None
         return m
 
     @classmethod
@@ -96,14 +94,11 @@ class RatMatrix:
         return self.entries.get((i, j), _ZERO)
 
     def row_dicts(self) -> list:
-        """Per-row {column: value} views; do not mutate the returned dicts."""
-        cache = self._rowcache
-        if cache is None:
-            cache = [dict() for _ in range(self.rows)]
-            for (i, j), value in self.entries.items():
-                cache[i][j] = value
-            self._rowcache = cache
-        return cache
+        """Per-row {column: value} dicts, built afresh on each call."""
+        out = [{} for _ in range(self.rows)]
+        for (i, j), value in self.entries.items():
+            out[i][j] = value
+        return out
 
     def to_lists(self) -> list:
         out = [[_ZERO] * self.cols for _ in range(self.rows)]
@@ -150,37 +145,38 @@ class RatMatrix:
 
 @dataclass(frozen=True)
 class EchelonForm:
-    """Canonical reduced echelon form of a matrix's row space."""
+    """Canonical reduced echelon form of a matrix's row space.
 
-    matrix: RatMatrix
-    pivot_columns: tuple
-    rank: int
+    ``rows`` maps each pivot column, in increasing order, to its reduced row:
+    1 at that pivot and 0 at every other pivot column.
+    """
 
-    def __post_init__(self):
-        if self.rank != len(self.pivot_columns):
-            raise ValueError("rank must equal the number of pivot columns")
+    rows: dict
+
+    @property
+    def pivot_columns(self) -> tuple:
+        return tuple(self.rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
 
 
-def _integer_row(row: Mapping) -> dict:
+def _integer_row(row: Mapping) -> tuple:
+    """(lcm of the row's denominators, the row scaled by it)."""
     mult = lcm(*(v.denominator for v in row.values()))
-    return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
+    return mult, {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
 
 
 def rref(m: RatMatrix) -> EchelonForm:
     """Reduced row echelon form with pivot entries equal to one."""
-    int_rows = [_integer_row(r) for r in m.row_dicts() if r]
+    int_rows = [_integer_row(r)[1] for r in m.row_dicts() if r]
     pivot_rows, pivot_cols = kernels.rref_int(int_rows)
-    entries = {}
-    for i, (row, pcol) in enumerate(zip(pivot_rows, pivot_cols)):
+    rows = {}
+    for row, pcol in zip(pivot_rows, pivot_cols):
         lead = row[pcol]
-        for c, v in row.items():
-            entries[(i, c)] = Fraction(v, lead)
-    reduced = RatMatrix.__new__(RatMatrix)
-    reduced.rows = len(pivot_cols)
-    reduced.cols = m.cols
-    reduced.entries = entries
-    reduced._rowcache = None
-    return EchelonForm(reduced, tuple(pivot_cols), len(pivot_cols))
+        rows[pcol] = {c: Fraction(v, lead) for c, v in row.items()}
+    return EchelonForm(rows)
 
 
 def rank(m: RatMatrix) -> int:
@@ -190,17 +186,15 @@ def rank(m: RatMatrix) -> int:
 def kernel_basis(m: RatMatrix) -> list:
     """Basis vectors (length ``cols``) of the right null space, one per free
     column in increasing column order."""
-    ech = rref(m)
-    pivot_set = set(ech.pivot_columns)
-    rows = ech.matrix.row_dicts()
+    rows = rref(m).rows
     basis = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in rows:
             continue
         vec = [_ZERO] * m.cols
         vec[free] = _ONE
-        for i, pcol in enumerate(ech.pivot_columns):
-            coeff = rows[i].get(free)
+        for pcol, row in rows.items():
+            coeff = row.get(free)
             if coeff:
                 vec[pcol] = -coeff
         basis.append(vec)
@@ -218,10 +212,10 @@ def determinant(m: RatMatrix) -> Fraction:
     for i, row in enumerate(m.row_dicts()):
         if not row:
             return _ZERO
-        mult = lcm(*(v.denominator for v in row.values()))
+        mult, ints = _integer_row(row)
         denom *= mult
-        for c, v in row.items():
-            dense[i][c] = v.numerator * (mult // v.denominator)
+        for c, v in ints.items():
+            dense[i][c] = v
     return Fraction(kernels.det_bareiss(dense), denom)
 
 
@@ -231,16 +225,19 @@ def reduce_mod_echelon(ech: EchelonForm, vec: Mapping) -> dict:
     The result is supported on non-pivot columns only; it vanishes exactly
     when the vector lies in the row space.
     """
-    out = {c: v for c, v in vec.items() if v}
-    rows = ech.matrix.row_dicts()
-    for i, pcol in enumerate(ech.pivot_columns):
-        coeff = out.get(pcol)
-        if not coeff:
-            continue
-        for c, v in rows[i].items():
-            w = out.get(c, _ZERO) - coeff * v
-            if w:
-                out[c] = w
-            else:
-                out.pop(c, None)
-    return out
+    rows = ech.rows
+    acc = {}
+    # One pass over the support suffices.  Each reduced row is 1 at its own
+    # pivot and 0 at every other pivot column, so subtracting v_p * row_p
+    # leaves every other pivot's coefficient as it was in ``vec``: the
+    # sequential reduction subtracts exactly vec_p * row_p for each pivot p,
+    # in any order.  The pivot's own entry cancels and is skipped.
+    for c, v in vec.items():
+        row = rows.get(c)
+        if row is None:
+            acc[c] = acc.get(c, _ZERO) + v
+        elif v:
+            for k, w in row.items():
+                if k != c:
+                    acc[k] = acc.get(k, _ZERO) - v * w
+    return {c: v for c, v in acc.items() if v}

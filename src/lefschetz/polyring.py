@@ -327,22 +327,17 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     dead, rows = slice_rows(ideal, degree)
     # The row space is span{e_c : c dead} (+) span{live rows restricted to
     # live columns}, since each row differs from its restriction by a
-    # combination of dead unit vectors.  Unit rows at dead columns and the
-    # reduced echelon rows of the live part, which vanish on dead columns,
-    # are together reduced and echelon once sorted by pivot.  The reduced
-    # echelon form is unique, so this equals the rref of the full matrix:
-    # same pivot columns, same entries, same standard monomials.
+    # combination of dead unit vectors.  The unit rows at dead columns and
+    # the reduced echelon rows of the live part, which vanish on dead
+    # columns, are together reduced and echelon once keyed by pivot in
+    # increasing order.  The reduced echelon form is unique, so this equals
+    # the rref of the full matrix: same pivot columns, same entries, same
+    # standard monomials.
     live = {}
     if rows:
-        ech = exactla.rref(RatMatrix.from_row_dicts(rows, ncols))
-        live = dict(zip(ech.pivot_columns, ech.matrix.row_dicts()))
-    pivot_set = dead.union(live)
-    pivots = tuple(sorted(pivot_set))
-    merged = RatMatrix.from_row_dicts(
-        [live.get(c) or {c: _ONE} for c in pivots], ncols
-    )
-    ech = EchelonForm(merged, pivots, len(pivots))
-    standard_cols = tuple(i for i in range(ncols) if i not in pivot_set)
+        live = exactla.rref(RatMatrix.from_row_dicts(rows, ncols)).rows
+    ech = EchelonForm({c: live.get(c) or {c: _ONE} for c in sorted(dead.union(live))})
+    standard_cols = tuple(i for i in range(ncols) if i not in ech.rows)
     standard = tuple(basis[i] for i in standard_cols)
     return DegreeSlice(degree, basis, ech, standard, standard_cols)
 

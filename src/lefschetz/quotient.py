@@ -113,7 +113,10 @@ class HilbertData:
     """Hilbert function values h(0..socle_degree); the next value is zero."""
 
     h: tuple
-    socle_degree: int
+
+    @property
+    def socle_degree(self) -> int:
+        return len(self.h) - 1
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,7 @@ class GradedQuotient:
                         f"socle degree {top}"
                     )
                 upper = [lower[top - d] for d in range(built + 1, top + 1)]
-                self._hilbert = HilbertData(tuple(lower + upper), top)
+                self._hilbert = HilbertData(tuple(lower + upper))
         return self._hilbert
 
     def _scan_hilbert(self) -> HilbertData:
@@ -261,7 +264,7 @@ class GradedQuotient:
         for d in range(self.degree_cap + 1):
             h = self.hilbert(d)
             if h == 0:
-                return HilbertData(tuple(values), d - 1)
+                return HilbertData(tuple(values))
             values.append(h)
         raise NotArtinianWithinCapError(
             f"Hilbert function still positive at the cap {self.degree_cap}"

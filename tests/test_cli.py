@@ -362,6 +362,16 @@ def test_hilbert_not_artinian_exit_three(capsys):
     assert "cap" in err
 
 
+def test_hilbert_cap_applies_to_family_input(capsys):
+    # the complete intersection (3, 3, 2) has socle degree 5, past the cap
+    code, out, err = run(
+        ["hilbert", "-a", "3", "-b", "3", "-c", "2", "--gamma", "1", "--cap", "2"],
+        capsys,
+    )
+    assert (code, out) == (3, "")
+    assert "still positive at the cap 2" in err
+
+
 def test_hilbert_cap_zero_exit_three(capsys):
     code, out, err = run(
         ["hilbert", "--ideal", "x^2, y^2, z^2", "--cap", "0"], capsys

@@ -13,7 +13,7 @@ from lefschetz.exactla import (
     reduce_mod_echelon,
     rref,
 )
-from value_oracles import laplace_det, naive_rank
+from value_oracles import laplace_det, naive_rank, naive_rref
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
@@ -36,7 +36,7 @@ def test_identity_and_zero():
     eye = RatMatrix.identity(3)
     assert rank(eye) == 3
     assert determinant(eye) == 1
-    assert rref(eye).matrix == eye
+    assert rref(eye).rows == {i: {i: 1} for i in range(3)}
     zero = RatMatrix.zero(2, 4)
     assert rank(zero) == 0
     assert rref(zero).pivot_columns == ()
@@ -48,7 +48,7 @@ def test_rank_one_outer_product():
     ech = rref(m)
     assert ech.rank == 1
     assert ech.pivot_columns == (0,)
-    assert ech.matrix.to_lists()[0] == [1, 2, 3]
+    assert ech.rows[0] == {0: 1, 1: 2, 2: 3}
 
 
 def test_kernel_of_sum_functional():
@@ -73,7 +73,7 @@ def test_degree_two_slice_matrix_frozen():
     assert ech.rank == 5
     assert ech.pivot_columns == (0, 1, 2, 4, 5)
     # the pivot-2 row is xz - y^2 after normalization
-    assert ech.matrix.row_dicts()[2] == {2: Fraction(1), 3: Fraction(-1)}
+    assert ech.rows[2] == {2: Fraction(1), 3: Fraction(-1)}
 
 
 def test_determinant_rational_entries():
@@ -107,6 +107,47 @@ def test_reduce_mod_echelon_membership():
     assert outside and all(c not in ech.pivot_columns for c in outside)
 
 
+def _sequential_remainder(rows, vec) -> dict:
+    """Textbook reduction: clear each pivot of the ``naive_rref`` rows in
+    turn, using the coefficient the vector has at that moment."""
+    out = [Fraction(v) for v in vec]
+    for row in naive_rref(rows):
+        pivot = next(j for j, v in enumerate(row) if v)
+        coeff = out[pivot]
+        if coeff:
+            out = [a - coeff * b for a, b in zip(out, row)]
+    return {j: v for j, v in enumerate(out) if v}
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    """A matrix and a vector of its width: a random combination of its rows,
+    plus noise that is sometimes zero, so both members and non-members of
+    the row space occur."""
+    rows = draw(matrices())
+    ncols = len(rows[0])
+    weights = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    vec = [sum(w * r[j] for w, r in zip(weights, rows)) for j in range(ncols)]
+    if draw(st.booleans()):
+        noise = draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+        vec = [v + e for v, e in zip(vec, noise)]
+    return rows, vec
+
+
+@given(matrices_and_vectors())
+@settings(max_examples=100)
+def test_reduce_mod_echelon_matches_sequential_reduction(case):
+    rows, vec = case
+    ech = rref(RatMatrix.from_rows(rows))
+    # zero entries are passed on purpose: they must be ignored
+    rem = reduce_mod_echelon(ech, dict(enumerate(vec)))
+    assert rem == _sequential_remainder(rows, vec)
+    assert not set(rem) & set(ech.pivot_columns)
+    assert all(rem.values())
+    diff = [v - rem.get(j, 0) for j, v in enumerate(vec)]
+    assert naive_rank(rows + [diff]) == naive_rank(rows)
+
+
 @given(matrices())
 @settings(max_examples=100)
 def test_rank_agrees_with_naive_and_transpose(rows):
@@ -120,11 +161,11 @@ def test_rank_agrees_with_naive_and_transpose(rows):
 @settings(max_examples=100)
 def test_rref_is_idempotent_and_pivots_are_unit(rows):
     ech = rref(RatMatrix.from_rows(rows))
-    again = rref(ech.matrix)
-    assert again.matrix == ech.matrix
+    again = rref(RatMatrix.from_row_dicts(ech.rows.values(), len(rows[0])))
+    assert again.rows == ech.rows
     assert again.pivot_columns == ech.pivot_columns
-    for i, pcol in enumerate(ech.pivot_columns):
-        assert ech.matrix.entry(i, pcol) == 1
+    for pcol, row in ech.rows.items():
+        assert row[pcol] == 1
 
 
 @given(matrices())

@@ -335,7 +335,7 @@ def test_degree_slice_matches_generic_rref(ideal):
         got = ideal_degree_slice(ideal, degree)
         want = _generic_slice_echelon(ideal, degree)
         assert got.echelon.pivot_columns == want.pivot_columns
-        assert got.echelon.matrix == want.matrix
+        assert got.echelon.rows == want.rows
         pivots = set(want.pivot_columns)
         assert got.standard_columns == tuple(
             i for i in range(len(got.basis)) if i not in pivots
