@@ -386,7 +386,10 @@ def _build_parser() -> _Parser:
         "--ideal", metavar="TEXT", help="comma-separated generators in x, y, z"
     )
     p_hil.add_argument(
-        "--cap", type=int, help="degree cap; default: the sum of generator degrees"
+        "--cap",
+        type=int,
+        help="degree cap, at least --dmax; default: the sum of generator "
+        "degrees, or --dmax if larger",
     )
     p_hil.add_argument(
         "--dmax", type=int, help="print h(0..dmax) instead of stopping at zero"
@@ -554,6 +557,8 @@ def _cmd_hilbert(args) -> int:
         raise _UsageError("degree cap must be positive")
     if args.dmax is not None and args.dmax < 0:
         raise _UsageError("--dmax must be nonnegative")
+    if None not in (args.cap, args.dmax) and args.cap < args.dmax:
+        raise _UsageError(f"--cap {args.cap} is below --dmax {args.dmax}")
     if args.ideal:
         ideal = parse_ideal(args.ideal)
     elif None not in (args.a, args.b, args.c, args.gamma):
@@ -569,9 +574,7 @@ def _cmd_hilbert(args) -> int:
         )
     cap = args.cap
     if cap is None:
-        cap = sum(g.degree for g in ideal.generators)
-    if args.dmax is not None:
-        cap = max(cap, args.dmax)
+        cap = max(sum(g.degree for g in ideal.generators), args.dmax or 0)
     q = GradedQuotient(ideal, degree_cap=cap)
     if args.dmax is not None:
         values = [q.hilbert(d) for d in range(args.dmax + 1)]

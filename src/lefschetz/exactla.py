@@ -1,11 +1,23 @@
 """Exact linear algebra over the rationals.
 
-Matrices are sparse maps from (row, column) to nonzero ``Fraction`` entries.
+Matrices are sparse maps from (row, column) to nonzero exact rationals.
 Echelonization clears denominators row by row and hands integer rows to
 :mod:`lefschetz.kernels`, so no rounding can occur anywhere in a verdict
 path.  The reduced echelon form is canonical for the row space, which makes
 ranks, pivot columns, and standard-monomial choices reproducible across
 runs.
+
+A value is a Python ``int`` when it is integral and a ``Fraction`` only
+where a real denominator appears.  Both are exact: ``int`` and ``Fraction``
+are closed under ``+``, ``-`` and ``*`` with each other, an ``int`` equals
+and hashes like the integral ``Fraction`` it stands for, and a quotient is
+built as ``Fraction(n, d)`` or, when ``d`` divides ``n``, as ``n // d``.
+The one inexact operator, ``/`` between two ``int``, which returns a
+``float``, is never used.  :func:`_coerce` is the one entry point: every
+:class:`RatMatrix` entry passes through it, so a matrix row whose
+denominators have lcm 1 is a row of ``int``.  Arithmetic on two
+``Fraction`` values may still give an integral ``Fraction``; it is equally
+exact and is normalized the next time it enters a matrix.
 """
 
 from __future__ import annotations
@@ -17,20 +29,32 @@ from typing import Iterable, Mapping
 
 from . import kernels
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class NotSquareError(ValueError):
     """Determinant requested for a non-square matrix."""
 
 
-def _coerce(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+def _coerce(value):
+    """The exact value of ``value``: an ``int`` when it is integral, else a
+    ``Fraction``."""
+    if type(value) is int:
+        return value
+    q = value if type(value) is Fraction else Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _exact_quotient(n: int, d: int):
+    """n / d for integers, as an ``int`` when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 class RatMatrix:
-    """Sparse rational matrix, treated as immutable once constructed."""
+    """Sparse rational matrix, treated as immutable once constructed.
+
+    ``entries`` maps (row, column) to nonzero values, each an ``int`` or a
+    ``Fraction`` with a denominator above 1 (see :func:`_coerce`).
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -84,14 +108,14 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, {(i, i): _ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
         return cls(rows, cols, {})
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries.get((i, j), _ZERO)
+    def entry(self, i: int, j: int):
+        return self.entries.get((i, j), 0)
 
     def row_dicts(self) -> list:
         """Per-row {column: value} dicts, built afresh on each call."""
@@ -101,7 +125,7 @@ class RatMatrix:
         return out
 
     def to_lists(self) -> list:
-        out = [[_ZERO] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), value in self.entries.items():
             out[i][j] = value
         return out
@@ -122,7 +146,7 @@ class RatMatrix:
             acc = {}
             for j, av in arow.items():
                 for k, bv in brows[j].items():
-                    acc[k] = acc.get(k, _ZERO) + av * bv
+                    acc[k] = acc.get(k, 0) + av * bv
             for k, v in acc.items():
                 if v:
                     entries[(i, k)] = v
@@ -163,19 +187,31 @@ class EchelonForm:
 
 
 def _integer_row(row: Mapping) -> tuple:
-    """(lcm of the row's denominators, the row scaled by it)."""
+    """(lcm of the row's denominators, the row scaled by it).
+
+    A :class:`RatMatrix` row with lcm 1 holds only ``int`` values and is
+    returned as it is.
+    """
     mult = lcm(*(v.denominator for v in row.values()))
+    if mult == 1:
+        return 1, row
     return mult, {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
 
 
 def rref(m: RatMatrix) -> EchelonForm:
-    """Reduced row echelon form with pivot entries equal to one."""
+    """Reduced row echelon form with pivot entries equal to one.
+
+    Each kernel row is divided by its positive pivot entry; entries it
+    divides stay ``int``, so a row with pivot entry 1 is kept as it is.
+    """
     int_rows = [_integer_row(r)[1] for r in m.row_dicts() if r]
     pivot_rows, pivot_cols = kernels.rref_int(int_rows)
     rows = {}
     for row, pcol in zip(pivot_rows, pivot_cols):
         lead = row[pcol]
-        rows[pcol] = {c: Fraction(v, lead) for c, v in row.items()}
+        if lead != 1:
+            row = {c: _exact_quotient(v, lead) for c, v in row.items()}
+        rows[pcol] = row
     return EchelonForm(rows)
 
 
@@ -191,8 +227,8 @@ def kernel_basis(m: RatMatrix) -> list:
     for free in range(m.cols):
         if free in rows:
             continue
-        vec = [_ZERO] * m.cols
-        vec[free] = _ONE
+        vec = [0] * m.cols
+        vec[free] = 1
         for pcol, row in rows.items():
             coeff = row.get(free)
             if coeff:
@@ -201,22 +237,22 @@ def kernel_basis(m: RatMatrix) -> list:
     return basis
 
 
-def determinant(m: RatMatrix) -> Fraction:
+def determinant(m: RatMatrix):
     if m.rows != m.cols:
         raise NotSquareError(f"matrix is {m.rows}x{m.cols}")
     n = m.rows
     if n == 0:
-        return _ONE
+        return 1
     denom = 1
     dense = [[0] * n for _ in range(n)]
     for i, row in enumerate(m.row_dicts()):
         if not row:
-            return _ZERO
+            return 0
         mult, ints = _integer_row(row)
         denom *= mult
         for c, v in ints.items():
             dense[i][c] = v
-    return Fraction(kernels.det_bareiss(dense), denom)
+    return _exact_quotient(kernels.det_bareiss(dense), denom)
 
 
 def reduce_mod_echelon(ech: EchelonForm, vec: Mapping) -> dict:
@@ -235,9 +271,9 @@ def reduce_mod_echelon(ech: EchelonForm, vec: Mapping) -> dict:
     for c, v in vec.items():
         row = rows.get(c)
         if row is None:
-            acc[c] = acc.get(c, _ZERO) + v
+            acc[c] = acc.get(c, 0) + v
         elif v:
             for k, w in row.items():
                 if k != c:
-                    acc[k] = acc.get(k, _ZERO) - v * w
+                    acc[k] = acc.get(k, 0) - v * w
     return {c: v for c, v in acc.items() if v}

@@ -257,7 +257,7 @@ class SnMatrix:
 
 @dataclass(frozen=True)
 class SnCheck:
-    det: Fraction
+    det: int | Fraction
     alpha_last: int
     equal: bool
     positive: bool

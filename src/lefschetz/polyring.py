@@ -1,6 +1,8 @@
 """Monomials, homogeneous polynomials, and degreewise ideal slices.
 
-Everything lives in a fixed number of variables with rational coefficients.
+Everything lives in a fixed number of variables with exact rational
+coefficients; a polynomial built through its constructor stores each one as
+an ``int`` when it is integral (see :mod:`lefschetz.exactla`).
 Monomials are bare exponent tuples, ordered graded-lexicographically with
 earlier variables heaviest, so a degree-d basis lists the pure power of the
 first variable first.  An ideal is presented by finitely many homogeneous
@@ -15,17 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Iterable, Mapping
 
 from . import exactla
-from .exactla import EchelonForm, RatMatrix
+from .exactla import EchelonForm, RatMatrix, _coerce
 
 Monomial = tuple
 
 DEFAULT_NAMES = ("x", "y", "z")
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ZeroCoefficientError(ValueError):
@@ -41,7 +41,7 @@ class PolyParseError(ValueError):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_str(mono: Monomial, names: tuple = None) -> str:
@@ -99,7 +99,7 @@ class HomogeneousPoly:
                 raise ValueError(
                     f"monomial {mono} has degree {sum(mono)}, expected {degree}"
                 )
-            q = coeff if type(coeff) is Fraction else Fraction(coeff)
+            q = _coerce(coeff)
             if q:
                 clean[mono] = q
         self.nvars = nvars
@@ -109,7 +109,7 @@ class HomogeneousPoly:
     @classmethod
     def from_terms(cls, nvars: int, terms: Mapping) -> "HomogeneousPoly":
         """Infer the degree from the nonzero terms."""
-        degrees = {sum(m) for m, c in terms.items() if Fraction(c)}
+        degrees = {sum(m) for m, c in terms.items() if _coerce(c)}
         if not degrees:
             raise ValueError("cannot infer the degree of the zero polynomial")
         if len(degrees) > 1:
@@ -140,7 +140,7 @@ class HomogeneousPoly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            w = terms.get(m, _ZERO) + c
+            w = terms.get(m, 0) + c
             if w:
                 terms[m] = w
             else:
@@ -175,7 +175,7 @@ class HomogeneousPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = mono_mul(m1, m2)
-                w = terms.get(key, _ZERO) + c1 * c2
+                w = terms.get(key, 0) + c1 * c2
                 if w:
                     terms[key] = w
                 else:
@@ -336,7 +336,7 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     live = {}
     if rows:
         live = exactla.rref(RatMatrix.from_row_dicts(rows, ncols)).rows
-    ech = EchelonForm({c: live.get(c) or {c: _ONE} for c in sorted(dead.union(live))})
+    ech = EchelonForm({c: live.get(c) or {c: 1} for c in sorted(dead.union(live))})
     standard_cols = tuple(i for i in range(ncols) if i not in ech.rows)
     standard = tuple(basis[i] for i in standard_cols)
     return DegreeSlice(degree, basis, ech, standard, standard_cols)
@@ -378,7 +378,8 @@ def eliminate_linear_form(
             1 if i == (var if var < eliminated_var else var - 1) else 0
             for i in range(nv)
         )
-        replacement_terms[reduced] = -coeff / lead
+        # a Fraction, never int / int, which would round to a float
+        replacement_terms[reduced] = Fraction(-coeff, lead)
     replacement = HomogeneousPoly(nv, 1, replacement_terms)
     new_gens = []
     for g in ideal.generators:
@@ -434,7 +435,7 @@ def parse_poly(
         elif not first:
             raise PolyParseError(f"expected + or - before {text[pos]!r}", pos)
         first = False
-        coeff = Fraction(sign)
+        coeff = sign
         expts = [0] * nvars
         saw_factor = False
         while True:
@@ -475,7 +476,7 @@ def parse_poly(
         if not saw_factor:
             raise PolyParseError("empty term", pos)
         key = tuple(expts)
-        terms[key] = terms.get(key, _ZERO) + coeff
+        terms[key] = terms.get(key, 0) + coeff
         pos = _skip_spaces(text, pos)
     nonzero = {m: c for m, c in terms.items() if c}
     if not nonzero:

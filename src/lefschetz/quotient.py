@@ -13,10 +13,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import exactla
-from .exactla import RatMatrix
+from .exactla import RatMatrix, _coerce
 from .polyring import (
     HomogeneousPoly,
     IdealPresentation,
@@ -52,9 +51,7 @@ class LinearForm:
     coefficients: tuple
 
     def __init__(self, coefficients):
-        coeffs = tuple(
-            c if type(c) is Fraction else Fraction(c) for c in coefficients
-        )
+        coeffs = tuple(map(_coerce, coefficients))
         if not coeffs or not any(coeffs):
             raise ValueError("linear form must be nonzero")
         object.__setattr__(self, "coefficients", coeffs)
@@ -474,8 +471,7 @@ def residue_membership(ideal: IdealPresentation, degree: int) -> list:
         raise ValueError("residue membership expects a two-variable ideal")
     sl = ideal_degree_slice(ideal, degree)
     out = []
-    one = Fraction(1)
     for i in range(degree + 1):
-        rem = exactla.reduce_mod_echelon(sl.echelon, {i: one})
+        rem = exactla.reduce_mod_echelon(sl.echelon, {i: 1})
         out.append(not rem)
     return out

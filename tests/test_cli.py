@@ -372,6 +372,16 @@ def test_hilbert_cap_applies_to_family_input(capsys):
     assert "still positive at the cap 2" in err
 
 
+def test_hilbert_cap_below_dmax_exit_three(capsys):
+    ideal = ["hilbert", "--ideal", "x^2, y^2, z^2"]
+    code, out, err = run(ideal + ["--cap", "2", "--dmax", "5"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: --cap 2 is below --dmax 5\n"
+    code, out, _ = run(ideal + ["--cap", "5", "--dmax", "5"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"h": [1, 3, 3, 1, 0, 0], "socle_degree": None}
+
+
 def test_hilbert_cap_zero_exit_three(capsys):
     code, out, err = run(
         ["hilbert", "--ideal", "x^2, y^2, z^2", "--cap", "0"], capsys

@@ -20,6 +20,7 @@ from lefschetz.polyring import (
     parse_ideal,
     parse_poly,
 )
+from lefschetz.quotient import LinearForm
 
 YZ = ("y", "z")
 
@@ -171,6 +172,20 @@ def test_eliminate_requires_the_variable():
         eliminate_linear_form(ideal, parse_poly("y + z"), 0)
     with pytest.raises(ValueError):
         eliminate_linear_form(ideal, parse_poly("x^2"), 0)
+
+
+def test_eliminate_divides_exactly():
+    # x = -(y + z)/3, so x^2 = (y^2 + 2yz + z^2)/9; an int / int division
+    # would put a float approximation of -1/3 into the substitution
+    ideal = parse_ideal("x^2, y^2, z^2")
+    reduced = eliminate_linear_form(ideal, LinearForm((3, 1, 1)), 0)
+    first = reduced.generators[0].terms
+    assert first == {
+        (2, 0): Fraction(1, 9),
+        (1, 1): Fraction(2, 9),
+        (0, 2): Fraction(1, 9),
+    }
+    assert all(type(c) is Fraction for c in first.values())
 
 
 def test_eliminate_matches_adding_the_form():

@@ -24,10 +24,16 @@ from lefschetz.quotient import (
     NotArtinianWithinCapError,
     NotGorensteinShapeError,
     SearchStrategy,
+    _form_power,
     fixed_candidate,
     residue_membership,
 )
-from value_oracles import ci_hilbert, monomial_ci_mult_rank, monomial_quotient_dims
+from value_oracles import (
+    ci_hilbert,
+    monomial_ci_mult_rank,
+    monomial_quotient_dims,
+    naive_rank,
+)
 
 BK_IDEAL = "x^3, y^3, z^3, x*y*z"  # classical weak-Lefschetz failure
 
@@ -419,3 +425,39 @@ def test_search_is_seed_deterministic():
     first = q.check_wlp(SearchStrategy(trials=2, bound=9, seed="s"))
     second = q.check_wlp(SearchStrategy(trials=2, bound=9, seed="s"))
     assert first == second
+
+
+def _exact(value) -> bool:
+    """An int, or a Fraction that is not an integer; never a float, a bool
+    or an integral Fraction."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
+@given(
+    st.sampled_from(list(family.enumerate_params(4))),
+    st.lists(st.integers(-9, 9), min_size=3, max_size=3).filter(any),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_family_values_stay_int(params, coeffs, as_fractions):
+    """Integer inputs keep every value on the verdict path an int: slice
+    echelon rows, form powers, residues and multiplication matrices."""
+    form = LinearForm([Fraction(c) for c in coeffs] if as_fractions else coeffs)
+    assert all(type(c) is int for c in form.coefficients)
+    top = params.socle_degree
+    q = GradedQuotient(
+        family.build_ideal(params),
+        degree_cap=params.a + params.b + params.c,
+        socle_degree=top,
+    )
+    for d in range(top + 1):
+        for row in q.slice(d).echelon.rows.values():
+            assert all(map(_exact, row.values()))
+    for power in range(1, top + 1):
+        poly = _form_power(form.coefficients, power)
+        assert all(map(_exact, poly.terms.values()))
+        assert all(map(_exact, q.quotient_vector(poly).values()))
+        for d in range(top - power + 1):
+            m = q.multiplication_matrix(form, d, power)
+            assert all(map(_exact, m.entries.values()))
+            assert rank(m) == naive_rank(m.to_lists())
