@@ -22,6 +22,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from time import perf_counter
 
@@ -35,6 +36,11 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 CACHE_ENV = "LEFSCHETZ_CACHE_DIR"
+
+# Last field of every sweep cache key.  Bump it in any change to what a
+# verdict path computes or records, so older lines are recomputed instead
+# of replayed.  Keys written before versioning have no such field.
+CACHE_VERSION = 1
 
 CSV_COLUMNS = (
     "a",
@@ -67,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Sweep configuration; the cache key is (parameters, strategy)."""
+    """Sweep configuration; the cache key is (parameters, strategy, cache
+    version)."""
 
     a_max: int
     a_min: int = 2
@@ -142,10 +149,10 @@ def _verdict_record(
     }
 
 
-def _compute_record(job) -> dict:
-    a, b, c, beta, gamma, trials, bound, seed, with_slp = job
-    params = family.validate(a, b, c, beta, gamma)
-    return _verdict_record(params, trials, bound, seed, with_slp)
+def _compute_record(params: tuple, cfg: SweepConfig) -> dict:
+    return _verdict_record(
+        family.validate(*params), cfg.trials, cfg.bound, cfg.seed, cfg.slp
+    )
 
 
 def _record_csv_row(record: dict, with_slp: bool) -> list:
@@ -183,8 +190,8 @@ def _write_records(records, fmt: str, with_slp: bool, stream):
 
 
 def _cache_key(params: tuple, cfg: SweepConfig) -> tuple:
-    """Parameters plus strategy; also the argument tuple of a sweep job."""
-    return params + (cfg.trials, cfg.bound, cfg.seed, cfg.slp)
+    """Parameters, strategy and :data:`CACHE_VERSION`."""
+    return params + (cfg.trials, cfg.bound, cfg.seed, cfg.slp, CACHE_VERSION)
 
 
 def _resolve_cache_path(explicit, cfg: SweepConfig):
@@ -225,16 +232,19 @@ def _well_formed(key: tuple, r) -> bool:
 
 
 def _load_cache(path, cfg: SweepConfig) -> dict:
-    """Records of this strategy from the cache file, by parameter tuple.
+    """Records of this strategy and cache version from the cache file, by
+    parameter tuple.
 
     Lines that are not a JSON object with a ``key`` list and a
-    :func:`_well_formed` ``record`` are skipped and counted; a nonzero count
-    is reported on stderr.
+    :func:`_well_formed` ``record`` are skipped and counted as malformed;
+    well-formed lines keyed by another :data:`CACHE_VERSION`, or by a key
+    from before versioning, are skipped and counted as stale.  Nonzero
+    counts are reported on stderr.
     """
     cached = {}
     if path is None or not path.exists():
         return cached
-    malformed = 0
+    malformed = stale = 0
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -249,12 +259,19 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
                 continue
             if not _well_formed(key, record):
                 malformed += 1
-                continue
-            if key == _cache_key(key[:5], cfg):
+            elif key[9:] != (CACHE_VERSION,):  # the version is field 10
+                stale += 1
+            elif key == _cache_key(key[:5], cfg):
                 cached[key[:5]] = record
     if malformed:
         print(
             f"warning: skipped {malformed} malformed line(s) in cache {path}",
+            file=sys.stderr,
+        )
+    if stale:
+        print(
+            f"warning: skipped {stale} line(s) from another cache version "
+            f"in cache {path}",
             file=sys.stderr,
         )
     return cached
@@ -277,11 +294,7 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
     else:
         selected = list(family.enumerate_params(cfg.a_max, cfg.a_min))
     cached = _load_cache(cache_path, cfg)
-    jobs = [
-        _cache_key(p.as_tuple(), cfg)
-        for p in selected
-        if p.as_tuple() not in cached
-    ]
+    jobs = [p.as_tuple() for p in selected if p.as_tuple() not in cached]
     cache_fh = None
     if cache_path is not None and jobs:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
@@ -290,12 +303,15 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
         if jobs:
             if cfg.jobs > 1:
                 with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-                    results = pool.map(_compute_record, jobs, chunksize=4)
-                    computed = list(_drain(results, jobs, cache_fh))
+                    results = pool.map(
+                        _compute_record, jobs, repeat(cfg), chunksize=4
+                    )
+                    computed = list(_drain(results, jobs, cfg, cache_fh))
             else:
-                computed = list(_drain(map(_compute_record, jobs), jobs, cache_fh))
-            for job, record in zip(jobs, computed):
-                cached[job[:5]] = record
+                results = map(_compute_record, jobs, repeat(cfg))
+                computed = list(_drain(results, jobs, cfg, cache_fh))
+            for params, record in zip(jobs, computed):
+                cached[params] = record
     finally:
         if cache_fh is not None:
             cache_fh.close()
@@ -306,11 +322,12 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
     return records, violations
 
 
-def _drain(results, jobs, cache_fh):
-    for job, record in zip(jobs, results):
+def _drain(results, jobs, cfg: SweepConfig, cache_fh):
+    for params, record in zip(jobs, results):
         if cache_fh is not None:
+            key = _cache_key(params, cfg)
             cache_fh.write(
-                json.dumps({"key": job, "record": record}, sort_keys=True)
+                json.dumps({"key": key, "record": record}, sort_keys=True)
                 + "\n"
             )
             cache_fh.flush()

@@ -22,6 +22,7 @@ from .polyring import (
     _basis_index,
     ideal_degree_slice,
     mono_mul,
+    mono_str,
     monomial_basis,
 )
 
@@ -227,7 +228,8 @@ class GradedQuotient:
         Without a stated socle degree, slices are built from degree 0 up.
         Raises :class:`NotArtinianWithinCapError` when no zero value appears
         by the cap; once a graded piece vanishes every later one does, so the
-        first zero ends the scan.
+        first zero ends the scan.  It raises before building any slice when
+        some variable has no pure power among the generators' terms.
 
         With ``socle_degree=D`` the quotient A is Artinian Gorenstein, so
         multiplication A_d x A_{D-d} -> A_D, a one-dimensional space, is a
@@ -257,6 +259,21 @@ class GradedQuotient:
         return self._hilbert
 
     def _scan_hilbert(self) -> HilbertData:
+        # If no generator has a nonzero x_j^deg term, every generator
+        # vanishes at the coordinate point e_j, so R/I maps onto K[x_j] and
+        # h(d) >= 1 in every degree: no scan can reach a zero.
+        nvars = self.ideal.nvars
+        for j in range(nvars):
+            unit = tuple(int(i == j) for i in range(nvars))
+            if not any(
+                g.terms.get(tuple(g.degree * e for e in unit))
+                for g in self.ideal.generators
+            ):
+                raise NotArtinianWithinCapError(
+                    f"Hilbert function still positive at the cap "
+                    f"{self.degree_cap}: no generator has a pure power of "
+                    f"{mono_str(unit)}, so h(d) >= 1 in every degree"
+                )
         values = []
         for d in range(self.degree_cap + 1):
             h = self.hilbert(d)

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,30 @@ def test_sweep_cache_reports_malformed_lines(capsys, tmp_path):
     assert code == 0 and csv_out.count("\n") == 2
 
 
+def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):
+    cache = tmp_path / "sweep.jsonl"
+    code, fresh, _ = run(["sweep", "--a-max", "2"], capsys)
+    assert code == 0
+    good = json_lines(fresh)[0]
+    # well-formed records with a wrong verdict, under the 9-field key from
+    # before versioning and under the current key with another version
+    wrong = dict(good, verdict="FAILS_PROBABLY", certificate=None, h=[1])
+    current = list(cli._cache_key((2, 2, 2, 1, 1), cli.SweepConfig(a_max=2)))
+    for key in (current[:9], current[:9] + [cli.CACHE_VERSION + 1]):
+        with cache.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"key": key, "record": wrong}) + "\n")
+    code, out, err = run(["sweep", "--a-max", "2", "--cache", str(cache)], capsys)
+    assert code == 0
+    assert _strip_ms(json_lines(out)) == _strip_ms([good])
+    assert err == (
+        f"warning: skipped 2 line(s) from another cache version in cache {cache}\n"
+    )
+    # the recomputed record is appended under the current key and replayed
+    assert json.loads(cache.read_text().splitlines()[-1])["key"] == current
+    code, again, _ = run(["sweep", "--a-max", "2", "--cache", str(cache)], capsys)
+    assert again == out
+
+
 def test_sweep_bad_strategy_exit_three(capsys):
     # no tuple is uncovered at a = 2, so only the config check can object
     for flag, message in (("--trials", "trials"), ("--bound", "bound")):
@@ -360,6 +388,20 @@ def test_hilbert_not_artinian_exit_three(capsys):
     code, _, err = run(["hilbert", "--ideal", "x^2", "--cap", "6"], capsys)
     assert code == 3
     assert "cap" in err
+
+
+def test_hilbert_huge_default_cap_not_artinian_exits_at_once():
+    # the default cap is 99999999; a scan to it would not finish
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "lefschetz.cli", "hilbert", "--ideal", "x^99999999"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "still positive at the cap 99999999" in proc.stderr
 
 
 def test_hilbert_cap_applies_to_family_input(capsys):

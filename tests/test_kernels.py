@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import kernels
-from value_oracles import laplace_det, naive_rank, naive_rref
+from lefschetz.family import random_sn
+from value_oracles import gauss_det, laplace_det, naive_rank, naive_rref
 
 
 def _as_dicts(rows):
@@ -115,3 +116,58 @@ def test_det_bareiss_large_entries_stay_exact():
     mat = [[big, 1, 0], [1, big, 1], [0, 1, big]]
     expected = laplace_det(mat)
     assert kernels.det_bareiss(mat) == expected
+
+
+sparse_square = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-9, 9)),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(sparse_square)
+@settings(max_examples=200)
+def test_det_bareiss_sparse_matches_cofactor_expansion(square):
+    # mostly-zero entries reach the rows whose multiplier is already 0,
+    # with pivots that differ from the previous one
+    assert kernels.det_bareiss(square) == laplace_det(square)
+
+
+def _dense(matrix):
+    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for (i, j), value in matrix.entries.items():
+        rows[i][j] = value
+    return rows
+
+
+def test_det_bareiss_sn_matrices_match_gaussian_elimination():
+    # every upper row is skipped at every step; only the bottom row moves
+    rng = random.Random(10)
+    for n in (2, 3, 5, 8, 13, 21, 30, 40):
+        for max_entry in (1, 9, 99):
+            rows = _dense(random_sn(n, max_entry, rng).to_matrix())
+            assert kernels.det_bareiss(rows) == gauss_det(rows)
+
+
+def test_det_bareiss_rescales_rows_under_non_unit_pivots():
+    # triangular rows with diagonals other than 1 plus one dense row: a row
+    # with multiplier 0 must still be rescaled when the pivot changes
+    rng = random.Random(11)
+    for n in range(2, 13):
+        for _ in range(8):
+            rows = [
+                [0] * i
+                + [rng.choice((-7, -3, -2, 2, 3, 5, 11))]
+                + [rng.randint(-9, 9) for _ in range(n - 1 - i)]
+                for i in range(n - 1)
+            ]
+            dense = [rng.randint(-99, 99) for _ in range(n)]
+            rows.insert(rng.randrange(n), dense)
+            expected = gauss_det(rows)
+            assert kernels.det_bareiss([r[:] for r in rows]) == expected

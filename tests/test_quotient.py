@@ -101,6 +101,14 @@ def test_not_artinian_raises():
         q.hilbert_data()
 
 
+def test_not_artinian_raises_before_building_slices():
+    # no generator has a pure power of z, so R/I maps onto K[z]
+    q = quotient_of("x^2, y^3, x*z - y*z", cap=50)
+    with pytest.raises(NotArtinianWithinCapError, match="cap 50.*pure power of z"):
+        q.hilbert_data()
+    assert q._slices == {}
+
+
 def test_cap_enforced():
     q = quotient_of("x^2, y^2, z^2", cap=3)
     with pytest.raises(CapExceededError):

@@ -1,9 +1,9 @@
 """Independent recomputations used to cross-check the package.
 
 Everything here is deliberately naive: generating-function coefficient
-arrays, cofactor determinants, plain dense Gauss-Jordan elimination, and
-exhaustive monomial counting.  None of it shares code with the package
-under test.
+arrays, cofactor and Gaussian-elimination determinants, plain dense
+Gauss-Jordan elimination, and exhaustive monomial counting.  None of it
+shares code with the package under test.
 """
 
 from fractions import Fraction
@@ -44,6 +44,29 @@ def laplace_det(rows) -> Fraction:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * Fraction(rows[0][j]) * laplace_det(minor)
     return total
+
+
+def gauss_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals with row
+    swaps: the signed product of the pivots."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    n = len(work)
+    assert all(len(r) == n for r in work)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        p = work[col][col]
+        det *= p
+        for i in range(col + 1, n):
+            f = work[i][col] / p
+            if f:
+                work[i] = [v - f * w for v, w in zip(work[i], work[col])]
+    return det
 
 
 def naive_rref(rows) -> list:
