@@ -236,15 +236,17 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
     parameter tuple.
 
     Lines that are not a JSON object with a ``key`` list and a
-    :func:`_well_formed` ``record`` are skipped and counted as malformed;
-    well-formed lines keyed by another :data:`CACHE_VERSION`, or by a key
-    from before versioning, are skipped and counted as stale.  Nonzero
-    counts are reported on stderr.
+    :func:`_well_formed` ``record`` are skipped and counted as malformed.
+    Well-formed lines of this strategy keyed by another
+    :data:`CACHE_VERSION`, or by a key from before versioning, are skipped
+    and counted as stale while no current line holds the same parameters.
+    Nonzero counts are reported on stderr.
     """
     cached = {}
     if path is None or not path.exists():
         return cached
-    malformed = stale = 0
+    malformed = 0
+    other_version = []
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -259,10 +261,13 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
                 continue
             if not _well_formed(key, record):
                 malformed += 1
-            elif key[9:] != (CACHE_VERSION,):  # the version is field 10
-                stale += 1
-            elif key == _cache_key(key[:5], cfg):
+                continue
+            current = _cache_key(key[:5], cfg)
+            if key == current:
                 cached[key[:5]] = record
+            elif key[:9] == current[:9]:  # this strategy, another version
+                other_version.append(key[:5])
+    stale = sum(params not in cached for params in other_version)
     if malformed:
         print(
             f"warning: skipped {malformed} malformed line(s) in cache {path}",

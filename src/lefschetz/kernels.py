@@ -5,8 +5,8 @@ Rows are sparse ``{column: value}`` mappings with nonzero integer values.
 fraction-free determinant.
 
 ``det_bareiss`` skips a row whose multiplier in the pivot column is already
-zero when the pivot equals the previous one, and only rescales it otherwise.
-On the unit upper-triangular matrices with one dense bottom row of
+zero when the pivot equals the previous one: the update would leave it
+unchanged.  On the unit upper-triangular matrices with one dense bottom row of
 ``family.SnMatrix`` every upper row is skipped at every step, so a
 determinant costs O(n^2) instead of O(n^3).
 """
@@ -107,17 +107,12 @@ def det_bareiss(mat):
         for i in range(k + 1, n):
             ri = m[i]
             mik = ri[k]
-            # With mik == 0 the update below is ri[j] * pkk // prev.  That is
-            # ri itself when pkk == prev, so the row is skipped; otherwise it
-            # is a rescale, exact because the new entry is again a minor of
-            # the input (Sylvester's identity).  Either way every entry equals
-            # what the full update computes, so the result is bit-identical.
-            if mik:
+            # With mik == 0 and pkk == prev the update leaves ri unchanged
+            # (ri[j] * pkk // prev == ri[j], ri[k] already 0), so it is
+            # skipped and the result is bit-identical.
+            if mik or pkk != prev:
                 for j in range(k + 1, n):
                     ri[j] = (ri[j] * pkk - mik * rk[j]) // prev
                 ri[k] = 0
-            elif pkk != prev:
-                for j in range(k + 1, n):
-                    ri[j] = ri[j] * pkk // prev
         prev = pkk
     return sign * m[n - 1][n - 1]

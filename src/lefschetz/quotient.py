@@ -274,6 +274,17 @@ class GradedQuotient:
                     f"{self.degree_cap}: no generator has a pure power of "
                     f"{mono_str(unit)}, so h(d) >= 1 in every degree"
                 )
+        # Krull's height theorem: r generators leave a quotient of dimension
+        # at least nvars - r.  Other non-Artinian ideals, such as
+        # (x^2 - y^2, x*y - y^2, z^2), which vanishes at (1, 1, 0), are only
+        # found by the scan below.
+        ngens = len(self.ideal.generators)
+        if ngens < nvars:
+            raise NotArtinianWithinCapError(
+                f"Hilbert function still positive at the cap "
+                f"{self.degree_cap}: {ngens} generator(s) in {nvars} "
+                f"variables leave a quotient of positive dimension"
+            )
         values = []
         for d in range(self.degree_cap + 1):
             h = self.hilbert(d)

@@ -178,7 +178,7 @@ def test_sweep_cache_resume_recomputes_nothing(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert cache.exists()
 
-    def boom(job):
+    def boom(params, cfg):
         raise AssertionError("resume must not recompute records")
 
     monkeypatch.setattr(cli, "_compute_record", boom)
@@ -191,7 +191,7 @@ def test_sweep_cache_reports_malformed_lines(capsys, tmp_path):
     cache = tmp_path / "sweep.jsonl"
     code, out1, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
     assert (code, err) == (0, "")
-    key = "[2, 2, 2, 1, 1, 8, 10000, 0, false]"
+    key = json.dumps(cli._cache_key((2, 2, 2, 1, 1), cli.SweepConfig(a_max=3)))
     good = json.loads(cache.read_text().splitlines()[0])["record"]
     bad = [("h", 5), ("flags", 5), ("a", 3), ("ms", True), ("gamma", True)]
     with cache.open("a", encoding="utf-8") as fh:
@@ -233,8 +233,9 @@ def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):
     )
     # the recomputed record is appended under the current key and replayed
     assert json.loads(cache.read_text().splitlines()[-1])["key"] == current
-    code, again, _ = run(["sweep", "--a-max", "2", "--cache", str(cache)], capsys)
-    assert again == out
+    # and the stale lines, now shadowed by a current one, are not reported
+    code, again, err = run(["sweep", "--a-max", "2", "--cache", str(cache)], capsys)
+    assert (code, again, err) == (0, out, "")
 
 
 def test_sweep_bad_strategy_exit_three(capsys):
@@ -391,17 +392,22 @@ def test_hilbert_not_artinian_exit_three(capsys):
 
 
 def test_hilbert_huge_default_cap_not_artinian_exits_at_once():
-    # the default cap is 99999999; a scan to it would not finish
+    # the default cap is the sum of generator degrees; a scan to it would
+    # not finish
     src = str(Path(cli.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "lefschetz.cli", "hilbert", "--ideal", "x^99999999"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert "still positive at the cap 99999999" in proc.stderr
+    for ideal, cap in (
+        ("x^99999999", 99999999),
+        ("x^99999999 + y^99999999 + z^99999999", 99999999),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefschetz.cli", "hilbert", "--ideal", ideal],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert f"still positive at the cap {cap}" in proc.stderr
 
 
 def test_hilbert_cap_applies_to_family_input(capsys):

@@ -109,6 +109,14 @@ def test_not_artinian_raises_before_building_slices():
     assert q._slices == {}
 
 
+def test_too_few_generators_raise_before_building_slices():
+    # one generator in three variables: R/I has dimension at least 2
+    q = quotient_of("x^3 + y^3 + z^3", cap=50)
+    with pytest.raises(NotArtinianWithinCapError, match="cap 50.*1 generator"):
+        q.hilbert_data()
+    assert q._slices == {}
+
+
 def test_cap_enforced():
     q = quotient_of("x^2, y^2, z^2", cap=3)
     with pytest.raises(CapExceededError):
