@@ -10,17 +10,20 @@ intersection, or ad-hoc ideals).
 Exit codes: 0 success / verdict HOLDS, 2 a FAILS_PROBABLY verdict, 3 usage
 or validation problems, 4 an internal invariant violation.  The sweep cache
 directory can be set once via the LEFSCHETZ_CACHE_DIR environment variable.
+
+Every call pays for what importing this module loads, so ``csv`` and
+``concurrent.futures`` (which pulls in ``multiprocessing``) are imported
+inside the one branch that uses each: ``--format csv`` and ``sweep --jobs``
+above 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -177,6 +180,8 @@ def _record_csv_row(record: dict, with_slp: bool) -> list:
 
 def _write_records(records, fmt: str, with_slp: bool, stream):
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(stream, lineterminator="\n")
         header = list(CSV_COLUMNS)
         if with_slp:
@@ -307,6 +312,8 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
     try:
         if jobs:
             if cfg.jobs > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
                     results = pool.map(
                         _compute_record, jobs, repeat(cfg), chunksize=4
@@ -606,6 +613,8 @@ def _cmd_hilbert(args) -> int:
         values = list(data.h)
         payload = {"h": values, "socle_degree": data.socle_degree}
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["d", "h"])
         for d, h in enumerate(values):

@@ -14,10 +14,11 @@ and hashes like the integral ``Fraction`` it stands for, and a quotient is
 built as ``Fraction(n, d)`` or, when ``d`` divides ``n``, as ``n // d``.
 The one inexact operator, ``/`` between two ``int``, which returns a
 ``float``, is never used.  :func:`_coerce` is the one entry point: every
-:class:`RatMatrix` entry passes through it, so a matrix row whose
-denominators have lcm 1 is a row of ``int``.  Arithmetic on two
-``Fraction`` values may still give an integral ``Fraction``; it is equally
-exact and is normalized the next time it enters a matrix.
+:class:`RatMatrix` entry that is not already an ``int`` passes through it,
+so a matrix row whose denominators have lcm 1 is a row of ``int``.
+Arithmetic on two ``Fraction`` values may still give an integral
+``Fraction``; it is equally exact and is normalized the next time it
+enters a matrix.
 """
 
 from __future__ import annotations
@@ -68,9 +69,10 @@ class RatMatrix:
                     raise ValueError(
                         f"entry ({i}, {j}) outside a {rows}x{cols} matrix"
                     )
-                q = _coerce(value)
-                if q:
-                    cleaned[(i, j)] = q
+                if type(value) is not int:
+                    value = _coerce(value)
+                if value:
+                    cleaned[(i, j)] = value
         self.rows = rows
         self.cols = cols
         self.entries = cleaned
@@ -243,15 +245,21 @@ def determinant(m: RatMatrix):
     n = m.rows
     if n == 0:
         return 1
+    entries = m.entries
     denom = 1
+    if not set(map(type, entries.values())) <= {int}:
+        # scale each row to integers; the determinant scales by the product
+        entries = {}
+        for i, row in enumerate(m.row_dicts()):
+            mult, ints = _integer_row(row)
+            denom *= mult
+            for c, v in ints.items():
+                entries[(i, c)] = v
     dense = [[0] * n for _ in range(n)]
-    for i, row in enumerate(m.row_dicts()):
-        if not row:
-            return 0
-        mult, ints = _integer_row(row)
-        denom *= mult
-        for c, v in ints.items():
-            dense[i][c] = v
+    for (i, j), v in entries.items():
+        dense[i][j] = v
+    if not all(map(any, dense)):
+        return 0
     return _exact_quotient(kernels.det_bareiss(dense), denom)
 
 

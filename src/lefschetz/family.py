@@ -229,11 +229,11 @@ class SnMatrix:
                 raise ValueError(
                     f"upper row {i} must have {size - 1 - i} entries"
                 )
-            if any(v < 0 for v in row):
+            if min(row) < 0:
                 raise ValueError("upper magnitudes must be nonnegative")
         if len(last_row) != size:
             raise ValueError(f"last row must have {size} entries")
-        if any(v < 0 for v in last_row):
+        if min(last_row) < 0:
             raise ValueError("last row must be nonnegative")
         if last_row[-1] <= 0:
             raise ValueError("last row must end with a positive entry")
@@ -265,14 +265,16 @@ class SnCheck:
 
 def sn_alpha(matrix: SnMatrix) -> tuple:
     """The accumulation sequence: alpha_j adds the bottom entry to the
-    upper-magnitude-weighted sum of all earlier alphas."""
-    n = matrix.size
-    alpha = [0] * n
-    for j in range(n):
-        total = matrix.last_row[j]
-        for i in range(j):
-            total += alpha[i] * matrix.upper[i][j - i - 1]
-        alpha[j] = total
+    upper-magnitude-weighted sum of all earlier alphas.
+
+    Each alpha_i is final once every earlier row has pushed into it, and is
+    then pushed forward along upper row i.
+    """
+    alpha = list(matrix.last_row)
+    for i, row in enumerate(matrix.upper):
+        a = alpha[i]
+        for j, magnitude in enumerate(row, i + 1):
+            alpha[j] += a * magnitude
     return tuple(alpha)
 
 
@@ -291,10 +293,13 @@ def random_sn(size: int, max_entry: int, seed) -> SnMatrix:
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    # randrange(k) and 1 + randrange(k) draw the same values as
+    # randint(0, k - 1) and randint(1, k), with less overhead per call
+    below = max_entry + 1
     upper = tuple(
-        tuple(rng.randint(0, max_entry) for _ in range(size - 1 - i))
+        tuple(rng.randrange(below) for _ in range(size - 1 - i))
         for i in range(size - 1)
     )
-    last = [rng.randint(0, max_entry) for _ in range(size - 1)]
-    last.append(rng.randint(1, max_entry))
+    last = [rng.randrange(below) for _ in range(size - 1)]
+    last.append(1 + rng.randrange(max_entry))
     return SnMatrix(size, upper, tuple(last))

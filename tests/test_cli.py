@@ -391,23 +391,58 @@ def test_hilbert_not_artinian_exit_three(capsys):
     assert "cap" in err
 
 
+def _python_src(args, timeout=60):
+    """Run ``python args`` with ``src`` on the import path."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 def test_hilbert_huge_default_cap_not_artinian_exits_at_once():
     # the default cap is the sum of generator degrees; a scan to it would
     # not finish
-    src = str(Path(cli.__file__).resolve().parents[1])
     for ideal, cap in (
         ("x^99999999", 99999999),
         ("x^99999999 + y^99999999 + z^99999999", 99999999),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-m", "lefschetz.cli", "hilbert", "--ideal", ideal],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
+        proc = _python_src(["-m", "lefschetz.cli", "hilbert", "--ideal", ideal])
         assert (proc.returncode, proc.stdout) == (3, "")
         assert f"still positive at the cap {cap}" in proc.stderr
+
+
+def test_hilbert_not_artinian_with_pure_powers_stops_at_explicit_cap():
+    # every variable has a pure power and there are three generators, so
+    # only the scan finds that the ideal vanishes at (1, 1, 0); an explicit
+    # --cap bounds it where the default cap 2997 would not finish
+    ideal = "x^999 - y^999, x*y^998 - y^999, z^999"
+    proc = _python_src(
+        ["-m", "lefschetz.cli", "hilbert", "--ideal", ideal, "--cap", "40"],
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "still positive at the cap 40" in proc.stderr
+
+
+def test_import_loads_no_pool_or_csv_modules():
+    # every call pays for what the import loads; diffing sys.modules keeps
+    # modules a site hook preloads out of the check
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lefschetz.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = _python_src(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "lefschetz.cli" in loaded
+    unwanted = ("concurrent.futures", "multiprocessing", "csv")
+    assert [m for m in loaded if m.startswith(unwanted)] == []
 
 
 def test_hilbert_cap_applies_to_family_input(capsys):

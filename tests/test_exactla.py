@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from lefschetz.exactla import (
     reduce_mod_echelon,
     rref,
 )
-from value_oracles import laplace_det, naive_rank, naive_rref
+from value_oracles import gauss_det, laplace_det, naive_rank, naive_rref
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
@@ -81,6 +82,24 @@ def test_determinant_rational_entries():
         [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
     )
     assert determinant(m) == Fraction(1, 60)
+
+
+def test_determinant_int_and_mixed_rows_match_gauss():
+    # all-int matrices take the entries as they are; a Fraction anywhere
+    # scales every row to integers first
+    rng = random.Random("det-int-mixed")
+    values = (0, 0, 0, 1, -1, 2, 7, -12, Fraction(1, 2), Fraction(-5, 3))
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        pool = values if trial % 2 else values[:8]
+        rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0:
+            rows[rng.randrange(n)] = [0] * n
+        assert determinant(RatMatrix.from_rows(rows)) == gauss_det(rows)
+    int_zero_row = [[1, -3, 5], [0, 0, 0], [4, 2, 9]]
+    assert determinant(RatMatrix.from_rows(int_zero_row)) == 0
+    mixed = [[2, Fraction(1, 3)], [Fraction(3, 4), -1]]
+    assert determinant(RatMatrix.from_rows(mixed)) == gauss_det(mixed)
 
 
 def test_determinant_requires_square():

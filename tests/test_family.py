@@ -208,6 +208,45 @@ def test_random_sn_reproducible():
     assert random_sn(5, 9, rng) == random_sn(5, 9, seed=42)
 
 
+def _randint_sn(size, max_entry, rng):
+    # the draws as randint makes them, in the order random_sn makes them
+    upper = tuple(
+        tuple(rng.randint(0, max_entry) for _ in range(size - 1 - i))
+        for i in range(size - 1)
+    )
+    last = [rng.randint(0, max_entry) for _ in range(size - 1)]
+    last.append(rng.randint(1, max_entry))
+    return SnMatrix(size, upper, tuple(last))
+
+
+@pytest.mark.parametrize("max_entry", [1, 2, 9, 99])
+def test_random_sn_draws_the_randint_stream(max_entry):
+    # lemma batches stay reproducible across releases only if the stream
+    # of draws is the one randint gives
+    for seed in (0, 1, 7, "sn-stream"):
+        ours = random.Random(seed)
+        reference = random.Random(seed)
+        for size in (2, 3, 5, 17, 40):
+            assert random_sn(size, max_entry, ours) == _randint_sn(
+                size, max_entry, reference
+            )
+        assert ours.random() == reference.random()
+
+
+def test_sn_alpha_matches_the_pull_formula():
+    rng = random.Random("sn-alpha")
+    for _ in range(200):
+        m = random_sn(rng.randint(2, 30), rng.choice((1, 9, 99)), rng)
+        # alpha_j = last_row[j] + sum over i < j of alpha_i * upper[i][j-i-1]
+        pulled = []
+        for j in range(m.size):
+            total = m.last_row[j]
+            for i in range(j):
+                total += pulled[i] * m.upper[i][j - i - 1]
+            pulled.append(total)
+        assert sn_alpha(m) == tuple(pulled)
+
+
 def test_identity_on_random_batch():
     rng = random.Random("sn-batch")
     for _ in range(100):
