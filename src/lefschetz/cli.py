@@ -241,7 +241,10 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
     parameter tuple.
 
     Lines that are not a JSON object with a ``key`` list and a
-    :func:`_well_formed` ``record`` are skipped and counted as malformed.
+    :func:`_well_formed` ``record`` are skipped and counted as malformed,
+    and so are lines holding a byte that is not UTF-8: the cache is written
+    by ``json.dumps``, which escapes everything outside ASCII, so a decoded
+    U+FFFD marks such a byte even inside a JSON string.
     Well-formed lines of this strategy keyed by another
     :data:`CACHE_VERSION`, or by a key from before versioning, are skipped
     and counted as stale while no current line holds the same parameters.
@@ -252,10 +255,13 @@ def _load_cache(path, cfg: SweepConfig) -> dict:
         return cached
     malformed = 0
     other_version = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8", errors="replace") as fh:
         for line in fh:
             line = line.strip()
             if not line:
+                continue
+            if "\ufffd" in line:
+                malformed += 1
                 continue
             try:
                 entry = json.loads(line)
@@ -309,6 +315,13 @@ def _run_sweep(cfg: SweepConfig, cache_path) -> tuple:
     if cache_path is not None and jobs:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         cache_fh = cache_path.open("a", encoding="utf-8")
+        if cache_fh.tell():
+            with cache_path.open("rb") as fh:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    # a sweep killed while writing cut its last line off;
+                    # end that line so the next record starts one of its own
+                    cache_fh.write("\n")
     try:
         if jobs:
             if cfg.jobs > 1:

@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are sparse maps from (row, column) to nonzero exact rationals.
-Echelonization clears denominators row by row and hands integer rows to
+A matrix is a sequence of sparse rows, one ``{column: value}`` dict of
+nonzero exact rationals per row.  Echelonization, rank and determinant
+clear denominators row by row and hand integer rows to
 :mod:`lefschetz.kernels`, so no rounding can occur anywhere in a verdict
 path.  The reduced echelon form is canonical for the row space, which makes
 ranks, pivot columns, and standard-monomial choices reproducible across
@@ -14,8 +15,9 @@ and hashes like the integral ``Fraction`` it stands for, and a quotient is
 built as ``Fraction(n, d)`` or, when ``d`` divides ``n``, as ``n // d``.
 The one inexact operator, ``/`` between two ``int``, which returns a
 ``float``, is never used.  :func:`_coerce` is the one entry point: every
-:class:`RatMatrix` entry that is not already an ``int`` passes through it,
-so a matrix row whose denominators have lcm 1 is a row of ``int``.
+value the :class:`RatMatrix` constructor stores that is not already an
+``int`` passes through it, so a matrix row either is all ``int`` or holds a
+``Fraction`` whose denominator is above 1.
 Arithmetic on two ``Fraction`` values may still give an integral
 ``Fraction``; it is equally exact and is normalized the next time it
 enters a matrix.
@@ -53,120 +55,94 @@ def _exact_quotient(n: int, d: int):
 class RatMatrix:
     """Sparse rational matrix, treated as immutable once constructed.
 
-    ``entries`` maps (row, column) to nonzero values, each an ``int`` or a
-    ``Fraction`` with a denominator above 1 (see :func:`_coerce`).
+    ``rows`` holds one ``{column: value}`` dict per row, empty rows included,
+    so the shape is ``len(rows)`` by ``cols``.  Every value is nonzero and is
+    an ``int`` or a ``Fraction`` with a denominator above 1 (see
+    :func:`_coerce`).
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols")
 
-    def __init__(self, rows: int, cols: int, entries: Mapping | None = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        cleaned = {}
-        if entries:
-            for (i, j), value in entries.items():
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(
-                        f"entry ({i}, {j}) outside a {rows}x{cols} matrix"
-                    )
+    def __init__(self, rows: Iterable[Mapping], cols: int):
+        if cols < 0:
+            raise ValueError("column count must be nonnegative")
+        cleaned = []
+        for i, row in enumerate(rows):
+            out = {}
+            for j, value in row.items():
+                if not 0 <= j < cols:
+                    raise ValueError(f"row {i} has column {j} outside 0..{cols - 1}")
                 if type(value) is not int:
                     value = _coerce(value)
                 if value:
-                    cleaned[(i, j)] = value
-        self.rows = rows
+                    out[j] = value
+            cleaned.append(out)
+        self.rows = tuple(cleaned)
         self.cols = cols
-        self.entries = cleaned
 
     @classmethod
     def from_rows(cls, data: Iterable[Iterable]) -> "RatMatrix":
         """Build from dense row lists; all rows must have equal length."""
         rows = [list(r) for r in data]
         ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("rows have unequal lengths")
-            for j, value in enumerate(row):
-                q = _coerce(value)
-                if q:
-                    entries[(i, j)] = q
-        return cls(len(rows), ncols, entries)
-
-    @classmethod
-    def from_row_dicts(cls, row_dicts: Iterable[Mapping], cols: int) -> "RatMatrix":
-        entries = {}
-        nrows = 0
-        for i, row in enumerate(row_dicts):
-            nrows = i + 1
-            for j, value in row.items():
-                q = _coerce(value)
-                if q:
-                    entries[(i, j)] = q
-        m = cls.__new__(cls)
-        m.rows = nrows
-        m.cols = cols
-        m.entries = entries
-        return m
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("rows have unequal lengths")
+        return cls([dict(enumerate(row)) for row in rows], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls([{i: 1} for i in range(n)], n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, {})
-
-    def entry(self, i: int, j: int):
-        return self.entries.get((i, j), 0)
-
-    def row_dicts(self) -> list:
-        """Per-row {column: value} dicts, built afresh on each call."""
-        out = [{} for _ in range(self.rows)]
-        for (i, j), value in self.entries.items():
-            out[i][j] = value
-        return out
+        if rows < 0:
+            raise ValueError("row count must be nonnegative")
+        return cls([{}] * rows, cols)
 
     def to_lists(self) -> list:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), value in self.entries.items():
-            out[i][j] = value
+        out = []
+        for row in self.rows:
+            line = [0] * self.cols
+            for j, value in row.items():
+                line[j] = value
+            out.append(line)
         return out
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.rows):
+            for j, value in row.items():
+                out[j][i] = value
+        return RatMatrix(out, len(self.rows))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
+        if self.cols != len(other.rows):
             raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+                f"cannot multiply {len(self.rows)}x{self.cols} by "
+                f"{len(other.rows)}x{other.cols}"
             )
-        brows = other.row_dicts()
-        entries = {}
-        for i, arow in enumerate(self.row_dicts()):
+        out = []
+        for arow in self.rows:
             acc = {}
             for j, av in arow.items():
-                for k, bv in brows[j].items():
+                for k, bv in other.rows[j].items():
                     acc[k] = acc.get(k, 0) + av * bv
-            for k, v in acc.items():
-                if v:
-                    entries[(i, k)] = v
-        return RatMatrix(self.rows, other.cols, entries)
+            out.append(acc)
+        return RatMatrix(out, other.cols)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
-            and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.cols, tuple(frozenset(r.items()) for r in self.rows)))
 
     def __repr__(self) -> str:
-        return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
+        nonzero = sum(map(len, self.rows))
+        return f"RatMatrix({len(self.rows)}x{self.cols}, {nonzero} nonzero)"
 
 
 @dataclass(frozen=True)
@@ -191,12 +167,13 @@ class EchelonForm:
 def _integer_row(row: Mapping) -> tuple:
     """(lcm of the row's denominators, the row scaled by it).
 
-    A :class:`RatMatrix` row with lcm 1 holds only ``int`` values and is
-    returned as it is.
+    A row of ``int`` values is returned as it is.  Any other
+    :class:`RatMatrix` row holds a ``Fraction`` with a denominator above 1,
+    so its lcm is above 1 too.
     """
-    mult = lcm(*(v.denominator for v in row.values()))
-    if mult == 1:
+    if Fraction not in map(type, row.values()):
         return 1, row
+    mult = lcm(*(v.denominator for v in row.values()))
     return mult, {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
 
 
@@ -206,7 +183,7 @@ def rref(m: RatMatrix) -> EchelonForm:
     Each kernel row is divided by its positive pivot entry; entries it
     divides stay ``int``, so a row with pivot entry 1 is kept as it is.
     """
-    int_rows = [_integer_row(r)[1] for r in m.row_dicts() if r]
+    int_rows = [_integer_row(r)[1] for r in m.rows if r]
     pivot_rows, pivot_cols = kernels.rref_int(int_rows)
     rows = {}
     for row, pcol in zip(pivot_rows, pivot_cols):
@@ -218,7 +195,10 @@ def rref(m: RatMatrix) -> EchelonForm:
 
 
 def rank(m: RatMatrix) -> int:
-    return rref(m).rank
+    """The number of pivots of the integer kernel's echelon form; no row is
+    divided by its pivot entry."""
+    int_rows = [_integer_row(r)[1] for r in m.rows if r]
+    return len(kernels.rref_int(int_rows)[1])
 
 
 def kernel_basis(m: RatMatrix) -> list:
@@ -240,26 +220,19 @@ def kernel_basis(m: RatMatrix) -> list:
 
 
 def determinant(m: RatMatrix):
-    if m.rows != m.cols:
-        raise NotSquareError(f"matrix is {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    entries = m.entries
+    n = m.cols
+    if len(m.rows) != n:
+        raise NotSquareError(f"matrix is {len(m.rows)}x{n}")
+    # scale each row to integers; the determinant scales by the product
     denom = 1
-    if not set(map(type, entries.values())) <= {int}:
-        # scale each row to integers; the determinant scales by the product
-        entries = {}
-        for i, row in enumerate(m.row_dicts()):
-            mult, ints = _integer_row(row)
-            denom *= mult
-            for c, v in ints.items():
-                entries[(i, c)] = v
-    dense = [[0] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        dense[i][j] = v
-    if not all(map(any, dense)):
-        return 0
+    dense = []
+    for row in m.rows:
+        mult, ints = _integer_row(row)
+        denom *= mult
+        line = [0] * n
+        for c, v in ints.items():
+            line[c] = v
+        dense.append(line)
     return _exact_quotient(kernels.det_bareiss(dense), denom)
 
 

@@ -242,17 +242,15 @@ class SnMatrix:
         object.__setattr__(self, "last_row", last_row)
 
     def to_matrix(self) -> RatMatrix:
-        n = self.size
-        entries = {}
-        for i in range(n - 1):
-            entries[(i, i)] = 1
-            for offset, magnitude in enumerate(self.upper[i]):
+        rows = []
+        for i, upper in enumerate(self.upper):
+            row = {i: 1}
+            for j, magnitude in enumerate(upper, i + 1):
                 if magnitude:
-                    entries[(i, i + 1 + offset)] = -magnitude
-        for j, value in enumerate(self.last_row):
-            if value:
-                entries[(n - 1, j)] = value
-        return RatMatrix(n, n, entries)
+                    row[j] = -magnitude
+            rows.append(row)
+        rows.append(dict(enumerate(self.last_row)))
+        return RatMatrix(rows, self.size)
 
 
 @dataclass(frozen=True)

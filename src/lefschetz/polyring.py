@@ -107,6 +107,13 @@ class HomogeneousPoly:
         self.terms = clean
 
     @classmethod
+    def _clean(cls, nvars: int, degree: int, terms: dict) -> "HomogeneousPoly":
+        """Wrap terms that are already nonzero, exact and of this degree."""
+        out = cls.__new__(cls)
+        out.nvars, out.degree, out.terms = nvars, degree, terms
+        return out
+
+    @classmethod
     def from_terms(cls, nvars: int, terms: Mapping) -> "HomogeneousPoly":
         """Infer the degree from the nonzero terms."""
         degrees = {sum(m) for m, c in terms.items() if _coerce(c)}
@@ -145,15 +152,11 @@ class HomogeneousPoly:
                 terms[m] = w
             else:
                 terms.pop(m, None)
-        out = HomogeneousPoly.__new__(HomogeneousPoly)
-        out.nvars, out.degree, out.terms = self.nvars, self.degree, terms
-        return out
+        return HomogeneousPoly._clean(self.nvars, self.degree, terms)
 
     def __neg__(self) -> "HomogeneousPoly":
-        out = HomogeneousPoly.__new__(HomogeneousPoly)
-        out.nvars, out.degree = self.nvars, self.degree
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        terms = {m: -c for m, c in self.terms.items()}
+        return HomogeneousPoly._clean(self.nvars, self.degree, terms)
 
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         return self + (-other)
@@ -162,11 +165,8 @@ class HomogeneousPoly:
         mono = tuple(mono)
         if len(mono) != self.nvars or any(e < 0 for e in mono):
             raise ValueError(f"bad monomial {mono}")
-        out = HomogeneousPoly.__new__(HomogeneousPoly)
-        out.nvars = self.nvars
-        out.degree = self.degree + sum(mono)
-        out.terms = {mono_mul(m, mono): c for m, c in self.terms.items()}
-        return out
+        terms = {mono_mul(m, mono): c for m, c in self.terms.items()}
+        return HomogeneousPoly._clean(self.nvars, self.degree + sum(mono), terms)
 
     def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         if self.nvars != other.nvars:
@@ -180,11 +180,7 @@ class HomogeneousPoly:
                     terms[key] = w
                 else:
                     terms.pop(key, None)
-        out = HomogeneousPoly.__new__(HomogeneousPoly)
-        out.nvars = self.nvars
-        out.degree = self.degree + other.degree
-        out.terms = terms
-        return out
+        return HomogeneousPoly._clean(self.nvars, self.degree + other.degree, terms)
 
     def __pow__(self, exponent: int) -> "HomogeneousPoly":
         if exponent < 0:
@@ -335,7 +331,7 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     # standard monomials.
     live = {}
     if rows:
-        live = exactla.rref(RatMatrix.from_row_dicts(rows, ncols)).rows
+        live = exactla.rref(RatMatrix(rows, ncols)).rows
     ech = EchelonForm({c: live.get(c) or {c: 1} for c in sorted(dead.union(live))})
     standard_cols = tuple(i for i in range(ncols) if i not in ech.rows)
     standard = tuple(basis[i] for i in standard_cols)

@@ -324,9 +324,9 @@ class GradedQuotient:
         :meth:`hilbert_data`, which may be a mirrored one."""
         m = self.multiplication_matrix(form, degree, power)
         expected = self.hilbert_data().h[degree + power]
-        if m.rows != expected:
+        if len(m.rows) != expected:
             raise NotGorensteinShapeError(
-                f"h({degree + power}) is {m.rows}, not {expected}"
+                f"h({degree + power}) is {len(m.rows)}, not {expected}"
             )
         return exactla.rank(m)
 
@@ -477,15 +477,14 @@ def _multiply_into(sources, poly: HomogeneousPoly, target) -> RatMatrix:
     """Multiply-then-reduce: column j is the residue of ``poly * sources[j]``
     modulo the slice ``target``, on the rows of its standard columns."""
     index = _basis_index(poly.nvars, target.degree)
-    row_of = {col: i for i, col in enumerate(target.standard_columns)}
-    entries = {}
+    rows = {col: {} for col in target.standard_columns}  # in row order
     terms = list(poly.terms.items())
     for j, mono in enumerate(sources):
         vec = {index[mono_mul(t, mono)]: c for t, c in terms}
         rem = exactla.reduce_mod_echelon(target.echelon, vec)
         for col, value in rem.items():
-            entries[(row_of[col], j)] = value
-    return RatMatrix(len(target.standard_monomials), len(sources), entries)
+            rows[col][j] = value
+    return RatMatrix(rows.values(), len(sources))
 
 
 def residue_membership(ideal: IdealPresentation, degree: int) -> list:

@@ -203,14 +203,42 @@ def test_sweep_cache_reports_malformed_lines(capsys, tmp_path):
         for field, value in bad:
             record = dict(good, **{field: value})
             fh.write('{"key": %s, "record": %s}\n' % (key, json.dumps(record)))
+    # bytes that are not UTF-8: alone, and inside a string of a full record
+    line = json.dumps({"key": json.loads(key), "record": good}).encode()
+    assert good["certificate"] and line.count(b" - ") == 2
+    with cache.open("ab") as fh:
+        fh.write(b"\xff\n")
+        fh.write(line.replace(b" - ", b" \xff ", 1) + b"\n")
     code, out2, err = run(["sweep", "--a-max", "3", "--cache", str(cache)], capsys)
     assert code == 0
     assert out1 == out2
-    assert err == f"warning: skipped 8 malformed line(s) in cache {cache}\n"
+    assert err == f"warning: skipped 10 malformed line(s) in cache {cache}\n"
     code, csv_out, err = run(
         ["sweep", "--a-max", "2", "--cache", str(cache), "--format", "csv"], capsys
     )
     assert code == 0 and csv_out.count("\n") == 2
+
+
+def test_sweep_cache_resumes_after_a_cut_off_line(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "sweep.jsonl"
+    argv = ["sweep", "--a-max", "3", "--cache", str(cache)]
+    code, full, _ = run(argv, capsys)
+    assert code == 0
+    text = cache.read_text()
+    # a sweep killed while writing its last record
+    cache.write_text(text[: text.rindex("\n", 0, -1) + 20])
+    warning = f"warning: skipped 1 malformed line(s) in cache {cache}\n"
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, warning)
+    assert _strip_ms(json_lines(out)) == _strip_ms(json_lines(full))
+    # the recomputed record sits on a line of its own and is replayed
+    assert len(cache.read_text().splitlines()) == len(text.splitlines()) + 1
+
+    def recompute(params, cfg):
+        raise AssertionError(f"{params} recomputed")
+
+    monkeypatch.setattr(cli, "_compute_record", recompute)
+    assert run(argv, capsys) == (0, out, warning)
 
 
 def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):

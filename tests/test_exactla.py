@@ -85,8 +85,8 @@ def test_determinant_rational_entries():
 
 
 def test_determinant_int_and_mixed_rows_match_gauss():
-    # all-int matrices take the entries as they are; a Fraction anywhere
-    # scales every row to integers first
+    # all-int rows are taken as they are; a row holding a Fraction is
+    # scaled to integers first, and mixed rows hold both kinds
     rng = random.Random("det-int-mixed")
     values = (0, 0, 0, 1, -1, 2, 7, -12, Fraction(1, 2), Fraction(-5, 3))
     for trial in range(300):
@@ -113,8 +113,28 @@ def test_matmul_shape_mismatch():
 
 
 def test_entry_validation():
+    for row in ({2: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            RatMatrix([{}, row], 2)
     with pytest.raises(ValueError):
-        RatMatrix(2, 2, {(2, 0): 1})
+        RatMatrix([], -1)
+    with pytest.raises(ValueError):
+        RatMatrix.zero(-1, 2)
+    m = RatMatrix([{0: Fraction(4, 2), 1: 0}, {1: Fraction(1, 3)}], 2)
+    assert m.rows == ({0: 2}, {1: Fraction(1, 3)})
+    assert type(m.rows[0][0]) is int
+
+
+def test_shape_is_part_of_equality():
+    assert RatMatrix.zero(2, 3) != RatMatrix.zero(3, 3)
+    assert RatMatrix.zero(2, 3) != RatMatrix.zero(2, 2)
+    assert RatMatrix.zero(2, 3) == RatMatrix([{}, {}], 3)
+    assert hash(RatMatrix.zero(2, 3)) == hash(RatMatrix([{}, {}], 3))
+    # an empty last row and an empty last column survive a round trip
+    m = RatMatrix([{0: 1}, {}], 3)
+    t = m.transpose()
+    assert t.rows == ({0: 1}, {}, {}) and t.cols == 2
+    assert t.transpose() == m
 
 
 def test_reduce_mod_echelon_membership():
@@ -173,6 +193,7 @@ def test_rank_agrees_with_naive_and_transpose(rows):
     m = RatMatrix.from_rows(rows)
     r = rank(m)
     assert r == naive_rank(rows)
+    assert r == rref(m).rank
     assert r == rank(m.transpose())
 
 
@@ -180,7 +201,7 @@ def test_rank_agrees_with_naive_and_transpose(rows):
 @settings(max_examples=100)
 def test_rref_is_idempotent_and_pivots_are_unit(rows):
     ech = rref(RatMatrix.from_rows(rows))
-    again = rref(RatMatrix.from_row_dicts(ech.rows.values(), len(rows[0])))
+    again = rref(RatMatrix(ech.rows.values(), len(rows[0])))
     assert again.rows == ech.rows
     assert again.pivot_columns == ech.pivot_columns
     for pcol, row in ech.rows.items():
@@ -195,7 +216,7 @@ def test_kernel_vectors_annihilate(rows):
     assert len(basis) == m.cols - rank(m)
     for vec in basis:
         col = RatMatrix.from_rows([[v] for v in vec])
-        assert (m @ col).entries == {}
+        assert (m @ col).to_lists() == [[0]] * len(rows)
 
 
 @given(

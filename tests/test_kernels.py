@@ -139,19 +139,12 @@ def test_det_bareiss_sparse_matches_cofactor_expansion(square):
     assert kernels.det_bareiss(square) == laplace_det(square)
 
 
-def _dense(matrix):
-    rows = [[0] * matrix.cols for _ in range(matrix.rows)]
-    for (i, j), value in matrix.entries.items():
-        rows[i][j] = value
-    return rows
-
-
 def test_det_bareiss_sn_matrices_match_gaussian_elimination():
     # every upper row is skipped at every step; only the bottom row moves
     rng = random.Random(10)
     for n in (2, 3, 5, 8, 13, 21, 30, 40):
         for max_entry in (1, 9, 99):
-            rows = _dense(random_sn(n, max_entry, rng).to_matrix())
+            rows = random_sn(n, max_entry, rng).to_matrix().to_lists()
             assert kernels.det_bareiss(rows) == gauss_det(rows)
 
 

@@ -305,7 +305,7 @@ def _generic_slice_echelon(ideal, degree):
             rows.append(
                 {index[t]: c for t, c in g.multiply_monomial(m).terms.items()}
             )
-    return exactla.rref(RatMatrix.from_row_dicts(rows, len(basis)))
+    return exactla.rref(RatMatrix(rows, len(basis)))
 
 
 _COEFFS = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)
