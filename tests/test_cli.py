@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from lefschetz import cli, family
+from lefschetz import __version__, cli, family, quotient
 from lefschetz.quotient import FAILS_PROBABLY, GradedQuotient, LefschetzReport
 
 
@@ -93,6 +93,49 @@ def test_unknown_command_exit_three(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_reused_parser_starts_each_call_from_defaults(capsys):
+    cli._build_parser.cache_clear()
+    code, fresh, _ = run(["sweep", "--a-max", "3"], capsys)
+    assert code == 0
+    code, out, _ = run(["sweep", "--a-max", "3", "--slp"], capsys)
+    assert code == 0
+    assert all(r["slp_verdict"] == "HOLDS" for r in json_lines(out))
+    code, out, _ = run(["sweep", "--a-max", "3"], capsys)
+    assert code == 0
+    records = json_lines(out)
+    assert all(r["slp_verdict"] is None for r in records)
+    assert _strip_ms(records) == _strip_ms(json_lines(fresh))
+
+
+def test_reused_parser_reports_usage_errors_alike(capsys):
+    bad = ["wlp", "-a", "2", "-b", "2", "-c", "2"]
+    cli._build_parser.cache_clear()
+    code, _, first_err = run(bad, capsys)
+    assert code == 3
+    good = ["classify", "-a", "2", "-b", "2", "-c", "2", "--beta", "1"]
+    assert run(good + ["--gamma", "1"], capsys)[0] == 0
+    code, _, err = run(bad, capsys)
+    assert code == 3
+    assert err == first_err
+
+
+def test_reused_parser_prints_help_and_version_to_current_stdout(capsys):
+    assert run(["hilbert", "--ideal", "x^2, y^2, z^2"], capsys)[0] == 0
+    code, out, _ = run(["--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: lefschetz")
+    code, out, _ = run(["hilbert", "--help"], capsys)
+    assert code == 0
+    assert out.startswith("usage: lefschetz hilbert")
+    code, out, _ = run(["--version"], capsys)
+    assert code == 0
+    assert out == __version__ + "\n"
 
 
 def test_forced_failure_exit_two(capsys, monkeypatch):
@@ -405,6 +448,23 @@ def test_hilbert_dmax_table(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"h": [1, 3, 5, 7, 9], "socle_degree": None}
+
+
+def test_hilbert_dmax_builds_no_slice_past_the_first_zero(capsys, monkeypatch):
+    built = []
+    slice_of = quotient.ideal_degree_slice
+
+    def counting_slice(ideal, degree):
+        built.append(degree)
+        return slice_of(ideal, degree)
+
+    monkeypatch.setattr(quotient, "ideal_degree_slice", counting_slice)
+    code, out, _ = run(
+        ["hilbert", "--ideal", "x^2, y^2, z^2", "--dmax", "40"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["h"] == [1, 3, 3, 1] + [0] * 37
+    assert max(built) <= 4
 
 
 def test_hilbert_parse_error_exit_three(capsys):
