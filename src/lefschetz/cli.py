@@ -14,15 +14,13 @@ directory can be set once via the LEFSCHETZ_CACHE_DIR environment variable.
 Every call pays for what importing this module loads, so ``csv`` and
 ``concurrent.futures`` (which pulls in ``multiprocessing``) are imported
 inside the one branch that uses each: ``--format csv`` and ``sweep --jobs``
-above 1.  The argument parser is built once per process, on the first
-:func:`main` call, so a caller that runs many ``main`` calls in one process
-(a loop over items, the test suite) saves about 1.7 ms on each later call.
+above 1.  For the same reason each call builds only the subparser of the
+subcommand it names (see :func:`_build_parser`).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -376,79 +374,91 @@ def _add_strategy_args(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
-# One parser serves every main() call in a process.  Reuse is sound:
-# - ArgumentParser.parse_args does not mutate the parser; each call gets a
-#   fresh Namespace, and each subparser's results are copied into it;
-# - prog is fixed to "lefschetz", so nothing depends on sys.argv[0];
-# - help and version text is formatted and written to sys.stdout when it is
-#   printed, not when the parser is built;
-# - _Parser.error raises _UsageError and keeps no state.
-@functools.cache
-def _build_parser() -> _Parser:
+def _add_verdict_args(parser):
+    _add_param_args(parser)
+    _add_strategy_args(parser)
+
+
+def _add_sweep_args(parser):
+    parser.add_argument("--a-max", type=int, required=True)
+    parser.add_argument("--a-min", type=int, default=2)
+    parser.add_argument(
+        "--filter", choices=("all", "covered", "uncovered"), default="all"
+    )
+    _add_strategy_args(parser)
+    parser.add_argument("--slp", action="store_true")
+    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--cache", metavar="PATH")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--out", metavar="PATH")
+
+
+def _add_apery_args(parser):
+    parser.add_argument(
+        "generators", help="comma-separated generators, e.g. 5,6,7,8"
+    )
+
+
+def _add_lemma_args(parser):
+    parser.add_argument("--n", type=int, default=8, help="largest matrix size")
+    parser.add_argument("--trials", type=int, default=1000)
+    parser.add_argument("--max-entry", type=int, default=9)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_hilbert_args(parser):
+    parser.add_argument("-a", "--a", dest="a", type=int)
+    parser.add_argument("-b", "--b", dest="b", type=int)
+    parser.add_argument("-c", "--c", dest="c", type=int)
+    parser.add_argument("--beta", type=int)
+    parser.add_argument("--gamma", type=int)
+    parser.add_argument(
+        "--ideal", metavar="TEXT", help="comma-separated generators in x, y, z"
+    )
+    parser.add_argument(
+        "--cap",
+        type=int,
+        help="degree cap, at least --dmax; default: the sum of generator "
+        "degrees, or --dmax if larger",
+    )
+    parser.add_argument(
+        "--dmax", type=int, help="print h(0..dmax) instead of stopping at zero"
+    )
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+# subcommand -> (help line, function adding its options), in help order
+_COMMANDS = {
+    "wlp": ("weak Lefschetz verdict for one tuple", _add_verdict_args),
+    "slp": ("strong Lefschetz verdict for one tuple", _add_verdict_args),
+    "classify": ("coverage flags for one tuple", _add_param_args),
+    "sweep": ("verdicts for every valid tuple", _add_sweep_args),
+    "apery": ("numerical semigroup report", _add_apery_args),
+    "lemma": ("randomized determinant-identity batch", _add_lemma_args),
+    "hilbert": ("Hilbert function table", _add_hilbert_args),
+}
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser for ``argv``.
+
+    When ``argv`` starts with a subcommand name, argparse hands the rest of
+    ``argv`` to that one subparser, so it is the only one built: the other
+    six subparsers and their options are most of the cost of the full parser
+    and would never be read.  Any other ``argv`` (``--help``, ``--version``,
+    an unknown or missing subcommand) gets every subcommand, so that help
+    and errors list them all.
+    """
     parser = _Parser(
         prog="lefschetz",
         description="Exact Lefschetz-property verdicts and related reports.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_wlp = sub.add_parser("wlp", help="weak Lefschetz verdict for one tuple")
-    _add_param_args(p_wlp)
-    _add_strategy_args(p_wlp)
-
-    p_slp = sub.add_parser("slp", help="strong Lefschetz verdict for one tuple")
-    _add_param_args(p_slp)
-    _add_strategy_args(p_slp)
-
-    p_cls = sub.add_parser("classify", help="coverage flags for one tuple")
-    _add_param_args(p_cls)
-
-    p_sweep = sub.add_parser("sweep", help="verdicts for every valid tuple")
-    p_sweep.add_argument("--a-max", type=int, required=True)
-    p_sweep.add_argument("--a-min", type=int, default=2)
-    p_sweep.add_argument(
-        "--filter", choices=("all", "covered", "uncovered"), default="all"
-    )
-    _add_strategy_args(p_sweep)
-    p_sweep.add_argument("--slp", action="store_true")
-    p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--cache", metavar="PATH")
-    p_sweep.add_argument("--format", choices=("json", "csv"), default="json")
-    p_sweep.add_argument("--out", metavar="PATH")
-
-    p_apery = sub.add_parser("apery", help="numerical semigroup report")
-    p_apery.add_argument(
-        "generators", help="comma-separated generators, e.g. 5,6,7,8"
-    )
-
-    p_lemma = sub.add_parser(
-        "lemma", help="randomized determinant-identity batch"
-    )
-    p_lemma.add_argument("--n", type=int, default=8, help="largest matrix size")
-    p_lemma.add_argument("--trials", type=int, default=1000)
-    p_lemma.add_argument("--max-entry", type=int, default=9)
-    p_lemma.add_argument("--seed", type=int, default=0)
-
-    p_hil = sub.add_parser("hilbert", help="Hilbert function table")
-    p_hil.add_argument("-a", "--a", dest="a", type=int)
-    p_hil.add_argument("-b", "--b", dest="b", type=int)
-    p_hil.add_argument("-c", "--c", dest="c", type=int)
-    p_hil.add_argument("--beta", type=int)
-    p_hil.add_argument("--gamma", type=int)
-    p_hil.add_argument(
-        "--ideal", metavar="TEXT", help="comma-separated generators in x, y, z"
-    )
-    p_hil.add_argument(
-        "--cap",
-        type=int,
-        help="degree cap, at least --dmax; default: the sum of generator "
-        "degrees, or --dmax if larger",
-    )
-    p_hil.add_argument(
-        "--dmax", type=int, help="print h(0..dmax) instead of stopping at zero"
-    )
-    p_hil.add_argument("--format", choices=("json", "csv"), default="json")
-
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_line, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -653,9 +663,9 @@ def _cmd_hilbert(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

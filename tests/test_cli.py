@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import io
@@ -95,41 +96,62 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
+def _subcommands(parser):
+    (action,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
 
 
-def test_reused_parser_starts_each_call_from_defaults(capsys):
-    cli._build_parser.cache_clear()
-    code, fresh, _ = run(["sweep", "--a-max", "3"], capsys)
-    assert code == 0
-    code, out, _ = run(["sweep", "--a-max", "3", "--slp"], capsys)
-    assert code == 0
-    assert all(r["slp_verdict"] == "HOLDS" for r in json_lines(out))
-    code, out, _ = run(["sweep", "--a-max", "3"], capsys)
-    assert code == 0
-    records = json_lines(out)
-    assert all(r["slp_verdict"] is None for r in records)
-    assert _strip_ms(records) == _strip_ms(json_lines(fresh))
+def test_parser_builds_only_the_named_subcommand():
+    assert list(_subcommands(cli._build_parser(["hilbert", "--dmax", "3"]))) == [
+        "hilbert"
+    ]
+    for argv in ([], ["--help"], ["--version"], ["frobnicate"], ["-h", "wlp"]):
+        assert list(_subcommands(cli._build_parser(argv))) == list(cli._COMMANDS)
 
 
-def test_reused_parser_reports_usage_errors_alike(capsys):
-    bad = ["wlp", "-a", "2", "-b", "2", "-c", "2"]
-    cli._build_parser.cache_clear()
-    code, _, first_err = run(bad, capsys)
-    assert code == 3
-    good = ["classify", "-a", "2", "-b", "2", "-c", "2", "--beta", "1"]
-    assert run(good + ["--gamma", "1"], capsys)[0] == 0
-    code, _, err = run(bad, capsys)
-    assert code == 3
-    assert err == first_err
+PARSE_CASES = [
+    ["wlp", "-a", "3", "-b", "2", "-c", "2", "--beta", "1", "--gamma", "1"],
+    ["slp", "-a", "3", "-b", "3", "-c", "2", "--beta", "1", "--gamma", "1",
+     "--trials", "4", "--seed", "9"],
+    ["classify", "-a", "8", "-b", "7", "-c", "6", "--beta", "3", "--gamma", "2"],
+    ["sweep", "--a-max", "4", "--slp", "--format", "csv", "--jobs", "2"],
+    ["apery", "5,6,7,8"],
+    ["lemma", "--n", "30", "--max-entry", "99"],
+    ["hilbert", "--ideal", "x^2, y^2, z^2", "--dmax", "6"],
+    ["wlp", "-a", "2", "-b", "2", "-c", "2"],
+    ["sweep", "--a-max", "3", "--filter", "some"],
+    ["hilbert", "--dmax", "x"],
+    ["lemma", "extra"],
+]
 
 
-def test_reused_parser_prints_help_and_version_to_current_stdout(capsys):
-    assert run(["hilbert", "--ideal", "x^2, y^2, z^2"], capsys)[0] == 0
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv))
+def test_one_subcommand_parser_parses_like_the_full_one(argv):
+    def parse(parser):
+        try:
+            return parser.parse_args(argv)
+        except cli._UsageError as err:
+            return str(err)
+
+    full = cli._build_parser([])
+    assert parse(cli._build_parser(argv)) == parse(full)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_one_subcommand_parser_prints_the_same_help(name):
+    one = _subcommands(cli._build_parser([name]))[name]
+    full = _subcommands(cli._build_parser([]))[name]
+    assert one.format_help() == full.format_help()
+
+
+def test_help_lists_every_subcommand(capsys):
     code, out, _ = run(["--help"], capsys)
     assert code == 0
     assert out.startswith("usage: lefschetz")
+    for name, (help_line, _) in cli._COMMANDS.items():
+        assert name in out and help_line in out
     code, out, _ = run(["hilbert", "--help"], capsys)
     assert code == 0
     assert out.startswith("usage: lefschetz hilbert")
