@@ -14,8 +14,11 @@ directory can be set once via the LEFSCHETZ_CACHE_DIR environment variable.
 Every call pays for what importing this module loads, so ``csv`` and
 ``concurrent.futures`` (which pulls in ``multiprocessing``) are imported
 inside the one branch that uses each: ``--format csv`` and ``sweep --jobs``
-above 1.  For the same reason each call builds only the subparser of the
-subcommand it names (see :func:`_build_parser`).
+above 1, and ``pathlib`` only by a sweep with a cache.  The package's record
+classes are slotted classes on :class:`lefschetz.record.Record`, not
+dataclasses, whose import loads ``inspect``, ``ast`` and ``dis``.  For the
+same reason each call builds only the subparser of the subcommand it names
+(see :func:`_build_parser`).
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from itertools import repeat
-from pathlib import Path
 from time import perf_counter
 
 from . import __version__, family, quotient, semigroup
 from .polyring import PolyParseError, parse_ideal
 from .quotient import FAILS_PROBABLY, HOLDS, GradedQuotient, SearchStrategy
+from .record import Record
 
 EXIT_OK = 0
 EXIT_FAILS = 2
@@ -75,28 +77,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Sweep configuration; the cache key is (parameters, strategy, cache
     version)."""
 
-    a_max: int
-    a_min: int = 2
-    filter: str = "all"
-    trials: int = 8
-    bound: int = 10_000
-    seed: int = 0
-    slp: bool = False
-    jobs: int = 1
+    __slots__ = ("a_max", "a_min", "filter", "trials", "bound", "seed", "slp", "jobs")
 
-    def __post_init__(self):
-        if self.a_max < self.a_min or self.a_min < 2:
+    def __init__(
+        self,
+        a_max: int,
+        a_min: int = 2,
+        filter: str = "all",
+        trials: int = 8,
+        bound: int = 10_000,
+        seed: int = 0,
+        slp: bool = False,
+        jobs: int = 1,
+    ):
+        if a_max < a_min or a_min < 2:
             raise ValueError("need 2 <= a_min <= a_max")
-        SearchStrategy(self.trials, self.bound, self.seed)  # checks trials and bound
-        if self.jobs < 1:
+        SearchStrategy(trials, bound, seed)  # checks trials and bound
+        if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.filter not in ("all", "covered", "uncovered"):
-            raise ValueError(f"unknown filter {self.filter!r}")
+        if filter not in ("all", "covered", "uncovered"):
+            raise ValueError(f"unknown filter {filter!r}")
+        object.__setattr__(self, "a_max", a_max)
+        object.__setattr__(self, "a_min", a_min)
+        object.__setattr__(self, "filter", filter)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "slp", slp)
+        object.__setattr__(self, "jobs", jobs)
 
 
 def _tuple_seed(seed, params: family.GorensteinParams) -> str:
@@ -201,17 +213,19 @@ def _cache_key(params: tuple, cfg: SweepConfig) -> tuple:
 
 
 def _resolve_cache_path(explicit, cfg: SweepConfig):
-    if explicit:
-        return Path(explicit)
-    env_dir = os.environ.get(CACHE_ENV)
-    if env_dir:
-        name = (
+    if not explicit:
+        env_dir = os.environ.get(CACHE_ENV)
+        if not env_dir:
+            return None
+        explicit = os.path.join(
+            env_dir,
             f"sweep-a{cfg.a_min}-{cfg.a_max}-{cfg.filter}"
             f"-t{cfg.trials}-b{cfg.bound}-s{cfg.seed}"
-            f"{'-slp' if cfg.slp else ''}.jsonl"
+            f"{'-slp' if cfg.slp else ''}.jsonl",
         )
-        return Path(env_dir) / name
-    return None
+    from pathlib import Path  # only a sweep with a cache loads it
+
+    return Path(explicit)
 
 
 def _well_formed(key: tuple, r) -> bool:

@@ -25,12 +25,12 @@ enters a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
 
 from . import kernels
+from .record import Record
 
 
 class NotSquareError(ValueError):
@@ -145,15 +145,17 @@ class RatMatrix:
         return f"RatMatrix({len(self.rows)}x{self.cols}, {nonzero} nonzero)"
 
 
-@dataclass(frozen=True)
-class EchelonForm:
+class EchelonForm(Record):
     """Canonical reduced echelon form of a matrix's row space.
 
     ``rows`` maps each pivot column, in increasing order, to its reduced row:
     1 at that pivot and 0 at every other pivot column.
     """
 
-    rows: dict
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: dict):
+        object.__setattr__(self, "rows", rows)
 
     @property
     def pivot_columns(self) -> tuple:

@@ -14,14 +14,14 @@ elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Iterable, Mapping
 
 from . import exactla
 from .exactla import EchelonForm, RatMatrix, _coerce
+from .record import Record
 
 Monomial = tuple
 
@@ -228,13 +228,11 @@ class HomogeneousPoly:
         return f"HomogeneousPoly({self.as_text()})"
 
 
-@dataclass(frozen=True)
-class IdealPresentation:
+class IdealPresentation(Record):
     """A homogeneous ideal given by finitely many nonzero generators of
     positive degree."""
 
-    nvars: int
-    generators: tuple
+    __slots__ = ("nvars", "generators")
 
     def __init__(self, nvars: int, generators: Iterable):
         gens = tuple(generators)
@@ -254,19 +252,28 @@ class IdealPresentation:
         return ", ".join(g.as_text(names) for g in self.generators)
 
 
-@dataclass(frozen=True)
-class DegreeSlice:
+class DegreeSlice(Record):
     """Echelonized degree-d slice of an ideal inside the full monomial basis.
 
     ``standard_monomials`` are the basis monomials at non-pivot columns; they
     descend to a basis of the degree-d part of the quotient ring.
     """
 
-    degree: int
-    basis: tuple
-    echelon: EchelonForm
-    standard_monomials: tuple
-    standard_columns: tuple
+    __slots__ = ("degree", "basis", "echelon", "standard_monomials", "standard_columns")
+
+    def __init__(
+        self,
+        degree: int,
+        basis: tuple,
+        echelon: EchelonForm,
+        standard_monomials: tuple,
+        standard_columns: tuple,
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "echelon", echelon)
+        object.__setattr__(self, "standard_monomials", standard_monomials)
+        object.__setattr__(self, "standard_columns", standard_columns)
 
     @property
     def rank(self) -> int:

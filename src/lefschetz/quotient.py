@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 
 from . import exactla
 from .exactla import RatMatrix, _coerce
@@ -25,6 +24,7 @@ from .polyring import (
     mono_str,
     monomial_basis,
 )
+from .record import Record
 
 HOLDS = "HOLDS"
 FAILS_PROBABLY = "FAILS_PROBABLY"
@@ -45,11 +45,10 @@ class NotGorensteinShapeError(ValueError):
     the middle-degree criterion is void."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """A nonzero linear form, stored as one coefficient per variable."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
         coeffs = tuple(map(_coerce, coefficients))
@@ -85,8 +84,7 @@ def fixed_candidate(nvars: int) -> LinearForm:
     return LinearForm((1,) + (-1,) * (nvars - 1))
 
 
-@dataclass(frozen=True)
-class SearchStrategy:
+class SearchStrategy(Record):
     """Random search settings for certificate hunting.
 
     ``trials`` random forms are tried after the fixed candidate; coefficients
@@ -95,48 +93,72 @@ class SearchStrategy:
     draw sequence.
     """
 
-    trials: int = 8
-    bound: int = 10_000
-    seed: object = 0
+    __slots__ = ("trials", "bound", "seed")
 
-    def __post_init__(self):
-        if self.trials < 1:
+    def __init__(self, trials: int = 8, bound: int = 10_000, seed: object = 0):
+        if trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.bound < 1:
+        if bound < 1:
             raise ValueError("bound must be at least 1")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(Record):
     """Hilbert function values h(0..socle_degree); the next value is zero."""
 
-    h: tuple
+    __slots__ = ("h",)
+
+    def __init__(self, h: tuple):
+        object.__setattr__(self, "h", h)
 
     @property
     def socle_degree(self) -> int:
         return len(self.h) - 1
 
 
-@dataclass(frozen=True)
-class MapRank:
+class MapRank(Record):
     """Rank of multiplication by a power of a form, A_degree -> A_{degree+power}."""
 
-    degree: int
-    power: int
-    dim_from: int
-    dim_to: int
-    rank: int
-    maximal: bool
+    __slots__ = ("degree", "power", "dim_from", "dim_to", "rank", "maximal")
+
+    def __init__(
+        self,
+        degree: int,
+        power: int,
+        dim_from: int,
+        dim_to: int,
+        rank: int,
+        maximal: bool,
+    ):
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "dim_from", dim_from)
+        object.__setattr__(self, "dim_to", dim_to)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "maximal", maximal)
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
-    """Verdict of a WLP or SLP search, with the records of the last form tried."""
+class LefschetzReport(Record, compare=("verdict", "certificate_form", "per_map")):
+    """Verdict of a WLP or SLP search, with the records of the last form tried.
 
-    verdict: str
-    certificate_form: LinearForm | None
-    per_map: tuple
-    strategy: dict = field(compare=False)
+    ``strategy`` is left out of equality and the hash.
+    """
+
+    __slots__ = ("verdict", "certificate_form", "per_map", "strategy")
+
+    def __init__(
+        self,
+        verdict: str,
+        certificate_form: LinearForm | None,
+        per_map: tuple,
+        strategy: dict,
+    ):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "certificate_form", certificate_form)
+        object.__setattr__(self, "per_map", per_map)
+        object.__setattr__(self, "strategy", strategy)
 
 
 def _random_form(rng: random.Random, nvars: int, bound: int) -> LinearForm:

@@ -9,22 +9,25 @@ that least-member set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+from .record import Record
 
 
 class NotInSemigroupError(ValueError):
     """An order was requested for a non-member."""
 
 
-@dataclass(frozen=True)
-class AperySet:
+class AperySet(Record):
     """Least members per residue class modulo the smallest generator,
     sorted ascending, with their maximal factorization orders."""
 
-    modulus: int
-    elements: tuple
-    orders: tuple
+    __slots__ = ("modulus", "elements", "orders")
+
+    def __init__(self, modulus: int, elements: tuple, orders: tuple):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "orders", orders)
 
 
 class NumericalSemigroup:

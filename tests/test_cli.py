@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -422,7 +421,7 @@ def test_lemma_summary_fields_use_their_own_flags(capsys, monkeypatch):
 
     def unequal_but_positive(matrix):
         check = real(matrix)
-        return dataclasses.replace(check, equal=False, positive=True)
+        return family.SnCheck(check.det, check.alpha_last, False, True)
 
     monkeypatch.setattr(family, "sn_det_identity", unequal_but_positive)
     code, out, _ = run(["lemma", "--n", "4", "--trials", "3"], capsys)
@@ -538,21 +537,42 @@ def test_hilbert_not_artinian_with_pure_powers_stops_at_explicit_cap():
     assert "still positive at the cap 40" in proc.stderr
 
 
-def test_import_loads_no_pool_or_csv_modules():
-    # every call pays for what the import loads; diffing sys.modules keeps
-    # modules a site hook preloads out of the check
+def _modules_loaded_by_cli_import(python_args=()):
+    """Modules that ``import lefschetz.cli`` adds to ``sys.modules``; diffing
+    keeps modules a site hook preloads out of the check."""
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import lefschetz.cli\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    proc = _python_src(["-c", code])
+    proc = _python_src([*python_args, "-c", code])
     assert proc.returncode == 0, proc.stderr
     loaded = proc.stdout.split()
     assert "lefschetz.cli" in loaded
-    unwanted = ("concurrent.futures", "multiprocessing", "csv")
-    assert [m for m in loaded if m.startswith(unwanted)] == []
+    return loaded
+
+
+def test_import_loads_no_pool_or_csv_modules():
+    # every call pays for what the import loads
+    loaded = _modules_loaded_by_cli_import()
+    unwanted = {
+        "concurrent",
+        "multiprocessing",
+        "csv",
+        "dataclasses",
+        "inspect",
+        "ast",
+        "dis",
+        "tokenize",
+    }
+    assert [m for m in loaded if m.split(".")[0] in unwanted] == []
+
+
+def test_import_without_site_loads_no_typing_or_pathlib():
+    # under -S no site hook preloads them, so the import alone is seen
+    loaded = _modules_loaded_by_cli_import(["-S"])
+    assert [m for m in loaded if m.split(".")[0] in ("typing", "pathlib")] == []
 
 
 def test_hilbert_cap_applies_to_family_input(capsys):
