@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice, repeat
 
 from . import exactla
 from .exactla import RatMatrix
@@ -300,13 +301,10 @@ class SnMatrix(Record):
         object.__setattr__(self, "last_row", last_row)
 
     def to_matrix(self) -> RatMatrix:
-        rows = []
-        for i, upper in enumerate(self.upper):
-            row = {i: 1}
-            for j, magnitude in enumerate(upper, i + 1):
-                if magnitude:
-                    row[j] = -magnitude
-            rows.append(row)
+        rows = [
+            {i: 1} | {j: -m for j, m in enumerate(upper, i + 1) if m}
+            for i, upper in enumerate(self.upper)
+        ]
         rows.append(dict(enumerate(self.last_row)))
         return RatMatrix(rows, self.size)
 
@@ -353,13 +351,13 @@ def random_sn(size: int, max_entry: int, seed) -> SnMatrix:
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    # randrange(k) and 1 + randrange(k) draw the same values as
-    # randint(0, k - 1) and randint(1, k), with less overhead per call
+    # randint(0, k - 1) is randrange(k), which draws getrandbits(k's bit
+    # length) until a value falls below k; the stream does the same without
+    # the per-call overhead, and islice pulls from it only the draws it
+    # keeps, so it never draws ahead.  1 + randrange(k) is randint(1, k).
     below = max_entry + 1
-    upper = tuple(
-        tuple(rng.randrange(below) for _ in range(size - 1 - i))
-        for i in range(size - 1)
-    )
-    last = [rng.randrange(below) for _ in range(size - 1)]
+    stream = filter(below.__gt__, map(rng.getrandbits, repeat(below.bit_length())))
+    upper = tuple(tuple(islice(stream, size - 1 - i)) for i in range(size - 1))
+    last = list(islice(stream, size - 1))
     last.append(1 + rng.randrange(max_entry))
     return SnMatrix(size, upper, tuple(last))

@@ -7,9 +7,10 @@ Monomials are bare exponent tuples, ordered graded-lexicographically with
 earlier variables heaviest, so a degree-d basis lists the pure power of the
 first variable first.  An ideal is presented by finitely many homogeneous
 generators; its degree-d slice is the echelonized span of all monomial
-multiples of the generators landing in degree d.  Multiples of monomial
-generators are unit rows, so they are taken out as dead columns before
-elimination.
+multiples of the generators landing in degree d.  The multiples of a
+monomial generator are unit rows, so the slice keeps them implicit: their
+columns are marked dead, run by run (see :func:`column_runs`), and only the
+rows of the other generators, restricted to live columns, are echelonized.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import comb
 from operator import add
 
 from . import exactla
@@ -255,60 +258,137 @@ class IdealPresentation(Record):
 class DegreeSlice(Record):
     """Echelonized degree-d slice of an ideal inside the full monomial basis.
 
-    ``standard_monomials`` are the basis monomials at non-pivot columns; they
-    descend to a basis of the degree-d part of the quotient ring.
+    ``dead`` holds the columns of the monomials that lie in the monomial
+    part of the ideal; each stands for a unit row that is never built.
+    ``echelon`` is the reduced echelon form of the other generators' rows
+    restricted to the live columns.  ``standard_monomials`` are the basis
+    monomials at columns that are neither dead nor pivots; they descend to a
+    basis of the degree-d part of the quotient ring.
     """
 
-    __slots__ = ("degree", "basis", "echelon", "standard_monomials", "standard_columns")
+    __slots__ = (
+        "degree",
+        "basis",
+        "dead",
+        "echelon",
+        "standard_monomials",
+        "standard_columns",
+    )
 
     def __init__(
         self,
         degree: int,
         basis: tuple,
+        dead: set,
         echelon: EchelonForm,
         standard_monomials: tuple,
         standard_columns: tuple,
     ):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "dead", dead)
         object.__setattr__(self, "echelon", echelon)
         object.__setattr__(self, "standard_monomials", standard_monomials)
         object.__setattr__(self, "standard_columns", standard_columns)
 
     @property
     def rank(self) -> int:
-        return self.echelon.rank
+        return len(self.dead) + self.echelon.rank
+
+    def residue(self, vec: Mapping) -> dict:
+        """Remainder of a ``{column: coefficient}`` vector modulo the slice,
+        supported on its standard columns; empty exactly when the vector
+        lies in the slice.
+
+        The row space is span{e_c : c dead} (+) span{echelon rows}, and the
+        echelon rows vanish on dead columns.  So v and v with its dead
+        entries dropped differ by an element of the row space, and the
+        reduced remainder of the latter, which lives on columns that are
+        neither dead nor pivots, is the remainder of v.
+        """
+        dead = self.dead
+        return exactla.reduce_mod_echelon(
+            self.echelon, {c: v for c, v in vec.items() if c not in dead}
+        )
+
+
+def column_runs(mono: Monomial, degree: int) -> list:
+    """The basis columns of the degree-d multiples of a monomial, as
+    disjoint ``range`` runs in increasing order.
+
+    In descending graded-lex order the degree-d monomials with first
+    exponent e form one block, after the C(d-e-1+n-1, n-1) monomials with a
+    larger first exponent, and inside it the tails are listed as the
+    degree-(d-e) basis in n-1 variables.  So the multiples of t are, block by
+    block for e >= t_0, the multiples of t's tail.  In two variables the
+    monomial with second exponent j sits at column j, and the multiples of
+    (a, b) are the single run b..d-a.
+    """
+    if sum(mono) > degree:
+        return []
+    if len(mono) == 1:
+        return [range(1)]
+    out = []
+    _runs(mono, degree, 0, out)
+    return out
+
+
+def _runs(mono: Monomial, degree: int, start: int, out: list) -> None:
+    """Append the runs of ``mono``, which divides into ``degree``, for the
+    basis that starts at column ``start``."""
+    if len(mono) == 2:
+        a, b = mono
+        out.append(range(start + b, start + degree - a + 1))
+        return
+    n = len(mono)
+    tail = mono[1:]
+    # the block of first exponent e = degree - rest, left to right
+    blocks = range(sum(tail), degree - mono[0] + 1)
+    if n == 3:
+        # the two-variable case below, inlined: most slices are small, and
+        # a call per block costs more than the block
+        b, c = tail
+        for rest in blocks:
+            first = start + rest * (rest + 1) // 2  # C(rest + 1, 2)
+            out.append(range(first + c, first + rest - b + 1))
+    else:
+        for rest in blocks:
+            _runs(tail, rest, start + comb(rest + n - 2, n - 1), out)
 
 
 def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
     """Dead columns and live rows of the ideal's degree-d Macaulay matrix.
 
     A generator with a single term contributes no rows: every degree-d
-    multiple of it is a unit row, so its column index is collected in the
-    returned set of dead columns instead.  Each multiple of a generator with
-    two or more terms becomes a ``{column: coefficient}`` row with its
-    entries in dead columns dropped; rows left empty are skipped.
+    multiple of it is a unit row, so its columns are collected, one run at a
+    time (see :func:`column_runs`), in the returned set of dead columns
+    instead.  Each multiple of a generator with two or more terms becomes a
+    ``{column: coefficient}`` row, its columns read off the runs of the
+    generator's terms, with its entries in dead columns dropped; rows left
+    empty are skipped.
     """
-    nvars = ideal.nvars
-    index = _basis_index(nvars, degree)
     dead = set()
     wide = []
     for g in ideal.generators:
-        shift = degree - g.degree
-        if shift < 0:
+        if g.degree > degree:
             continue
-        multiples = monomial_basis(nvars, shift)
         if len(g.terms) == 1:
             (t,) = g.terms
-            dead.update(index[mono_mul(t, m)] for m in multiples)
+            for run in column_runs(t, degree):
+                dead.update(run)
         else:
-            wide.append((list(g.terms.items()), multiples))
+            wide.append(g.terms)
     rows = []
-    for terms, multiples in wide:
-        for m in multiples:
+    for terms in wide:
+        # Graded lex is a monomial order, so multiplying by t keeps it: the
+        # k-th multiple of t in column order is t times the k-th monomial of
+        # the multipliers' basis, and the k-th columns of the generator's
+        # terms make up the row of that multiplier.
+        coeffs = tuple(terms.values())
+        columns = [chain.from_iterable(column_runs(t, degree)) for t in terms]
+        for cols in zip(*columns):
             row = {}
-            for t, c in terms:
-                col = index[mono_mul(t, m)]
+            for col, c in zip(cols, coeffs):
                 if col not in dead:
                     row[col] = c
             if row:
@@ -320,29 +400,30 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     """Slice of the ideal in the given degree; rank 0 when no generator
     divides into it.
 
-    Monomial generators are handled as dead columns (see :func:`slice_rows`):
-    only the rows of generators with two or more terms are echelonized.
+    Monomial generators only mark dead columns (see :func:`slice_rows`), and
+    no unit row is stored for them: the slice keeps the set ``dead`` and the
+    rref of the other generators' rows restricted to live columns.  Its
+    rank is ``len(dead)`` plus the echelon rank, and
+    :meth:`DegreeSlice.residue` reduces a vector modulo the whole slice.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     basis = monomial_basis(ideal.nvars, degree)
-    ncols = len(basis)
     dead, rows = slice_rows(ideal, degree)
-    # The row space is span{e_c : c dead} (+) span{live rows restricted to
-    # live columns}, since each row differs from its restriction by a
-    # combination of dead unit vectors.  The unit rows at dead columns and
-    # the reduced echelon rows of the live part, which vanish on dead
-    # columns, are together reduced and echelon once keyed by pivot in
-    # increasing order.  The reduced echelon form is unique, so this equals
-    # the rref of the full matrix: same pivot columns, same entries, same
-    # standard monomials.
-    live = {}
-    if rows:
-        live = exactla.rref(RatMatrix(rows, ncols)).rows
-    ech = EchelonForm({c: live.get(c) or {c: 1} for c in sorted(dead.union(live))})
-    standard_cols = tuple(i for i in range(ncols) if i not in ech.rows)
+    # Each row differs from its restriction to live columns by a combination
+    # of dead unit vectors, so the row space is span{e_c : c dead} (+)
+    # span{restricted rows}.  The dead unit rows and the rows of ``echelon``,
+    # which vanish on dead columns, are together reduced and echelon, and
+    # the reduced echelon form is unique: the full matrix has exactly these
+    # rows, its pivots are the dead columns and the pivots of ``echelon``,
+    # and its standard monomials are the ones kept here.
+    ech = exactla.rref(RatMatrix(rows, len(basis))) if rows else EchelonForm({})
+    pivots = ech.rows
+    standard_cols = tuple(
+        i for i in range(len(basis)) if i not in dead and i not in pivots
+    )
     standard = tuple(basis[i] for i in standard_cols)
-    return DegreeSlice(degree, basis, ech, standard, standard_cols)
+    return DegreeSlice(degree, basis, dead, ech, standard, standard_cols)
 
 
 def eliminate_linear_form(

@@ -492,7 +492,7 @@ class GradedQuotient:
         sl = self.slice(poly.degree)
         index = _basis_index(self.ideal.nvars, poly.degree)
         vec = {index[m]: c for m, c in poly.terms.items()}
-        return exactla.reduce_mod_echelon(sl.echelon, vec)
+        return sl.residue(vec)
 
 
 def _multiply_into(sources, poly: HomogeneousPoly, target) -> RatMatrix:
@@ -503,7 +503,7 @@ def _multiply_into(sources, poly: HomogeneousPoly, target) -> RatMatrix:
     terms = list(poly.terms.items())
     for j, mono in enumerate(sources):
         vec = {index[mono_mul(t, mono)]: c for t, c in terms}
-        rem = exactla.reduce_mod_echelon(target.echelon, vec)
+        rem = target.residue(vec)
         for col, value in rem.items():
             rows[col][j] = value
     return RatMatrix(rows.values(), len(sources))
@@ -521,6 +521,6 @@ def residue_membership(ideal: IdealPresentation, degree: int) -> list:
     sl = ideal_degree_slice(ideal, degree)
     out = []
     for i in range(degree + 1):
-        rem = exactla.reduce_mod_echelon(sl.echelon, {i: 1})
+        rem = sl.residue({i: 1})
         out.append(not rem)
     return out

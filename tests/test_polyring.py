@@ -13,6 +13,7 @@ from lefschetz.polyring import (
     IdealPresentation,
     PolyParseError,
     ZeroCoefficientError,
+    column_runs,
     eliminate_linear_form,
     ideal_degree_slice,
     mono_str,
@@ -97,7 +98,7 @@ def test_degree_slice_frozen_example():
     ideal = parse_ideal("x^2, y^2 - x*z, z^2, x*y, y*z")
     s2 = ideal_degree_slice(ideal, 2)
     assert s2.rank == 5
-    assert s2.echelon.pivot_columns == (0, 1, 2, 4, 5)
+    assert tuple(sorted(s2.dead.union(s2.echelon.rows))) == (0, 1, 2, 4, 5)
     assert s2.standard_monomials == ((0, 2, 0),)
     s1 = ideal_degree_slice(ideal, 1)
     assert s1.rank == 0
@@ -343,16 +344,53 @@ def slice_ideals(draw):
     return IdealPresentation(nvars, gens)
 
 
-@given(slice_ideals())
+@given(slice_ideals(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_degree_slice_matches_generic_rref(ideal):
+def test_degree_slice_matches_generic_rref(ideal, rng):
     for degree in range(7):
         got = ideal_degree_slice(ideal, degree)
         want = _generic_slice_echelon(ideal, degree)
-        assert got.echelon.pivot_columns == want.pivot_columns
-        assert got.echelon.rows == want.rows
+        # the unit rows at dead columns and the live echelon rows, keyed by
+        # pivot in increasing order, are the rref of the full matrix
+        assert not got.dead.intersection(got.echelon.rows)
+        full = {c: {c: 1} for c in got.dead}
+        full.update(got.echelon.rows)
+        assert list(sorted(full.items())) == list(want.rows.items())
+        assert got.rank == want.rank
         pivots = set(want.pivot_columns)
         assert got.standard_columns == tuple(
             i for i in range(len(got.basis)) if i not in pivots
         )
+        # residues agree with the full echelon, also on vectors that hit
+        # dead columns
+        ncols = len(got.basis)
+        dead = sorted(got.dead)
+        for _ in range(5):
+            support = rng.sample(range(ncols), rng.randint(0, ncols))
+            if dead:
+                support.append(rng.choice(dead))
+            vec = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for c in support}
+            assert got.residue(vec) == exactla.reduce_mod_echelon(want, vec)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 6), min_size=n, max_size=n).map(tuple),
+            st.integers(0, 12),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_column_runs_match_brute_force(case):
+    mono, degree = case
+    basis = monomial_basis(len(mono), degree)
+    index = {m: i for i, m in enumerate(basis)}
+    runs = column_runs(mono, degree)
+    got = [c for run in runs for c in run]
+    assert all(len(run) for run in runs)
+    assert got == sorted(set(got))  # disjoint, in increasing order
+    assert set(got) == {
+        index[m] for m in basis if all(a <= b for a, b in zip(mono, m))
+    }
 

@@ -47,7 +47,14 @@ RECORDS = [
     ),
     (
         polyring.DegreeSlice,
-        ("degree", "basis", "echelon", "standard_monomials", "standard_columns"),
+        (
+            "degree",
+            "basis",
+            "dead",
+            "echelon",
+            "standard_monomials",
+            "standard_columns",
+        ),
         lambda: polyring.ideal_degree_slice(_ideal(), 2),
     ),
     (
