@@ -279,7 +279,7 @@ class DegreeSlice(Record):
         self,
         degree: int,
         basis: tuple,
-        dead: set,
+        dead: frozenset,
         echelon: EchelonForm,
         standard_monomials: tuple,
         standard_columns: tuple,
@@ -343,17 +343,8 @@ def _runs(mono: Monomial, degree: int, start: int, out: list) -> None:
     n = len(mono)
     tail = mono[1:]
     # the block of first exponent e = degree - rest, left to right
-    blocks = range(sum(tail), degree - mono[0] + 1)
-    if n == 3:
-        # the two-variable case below, inlined: most slices are small, and
-        # a call per block costs more than the block
-        b, c = tail
-        for rest in blocks:
-            first = start + rest * (rest + 1) // 2  # C(rest + 1, 2)
-            out.append(range(first + c, first + rest - b + 1))
-    else:
-        for rest in blocks:
-            _runs(tail, rest, start + comb(rest + n - 2, n - 1), out)
+    for rest in range(sum(tail), degree - mono[0] + 1):
+        _runs(tail, rest, start + comb(rest + n - 2, n - 1), out)
 
 
 def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
@@ -419,6 +410,7 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     # and its standard monomials are the ones kept here.
     ech = exactla.rref(RatMatrix(rows, len(basis))) if rows else EchelonForm({})
     pivots = ech.rows
+    dead = frozenset(dead)
     standard_cols = tuple(
         i for i in range(len(basis)) if i not in dead and i not in pivots
     )

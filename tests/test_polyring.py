@@ -99,6 +99,8 @@ def test_degree_slice_frozen_example():
     s2 = ideal_degree_slice(ideal, 2)
     assert s2.rank == 5
     assert tuple(sorted(s2.dead.union(s2.echelon.rows))) == (0, 1, 2, 4, 5)
+    # the slice is cached per degree, so its dead set must not be mutable
+    assert isinstance(s2.dead, frozenset)
     assert s2.standard_monomials == ((0, 2, 0),)
     s1 = ideal_degree_slice(ideal, 1)
     assert s1.rank == 0
