@@ -197,10 +197,11 @@ def rref(m: RatMatrix) -> EchelonForm:
 
 
 def rank(m: RatMatrix) -> int:
-    """The number of pivots of the integer kernel's echelon form; no row is
-    divided by its pivot entry."""
+    """The number of pivots of the integer kernel's forward pass
+    (:func:`kernels.rank_int`): rows are scaled to integers and eliminated,
+    but never back-substituted or divided by their pivot entries."""
     int_rows = [_integer_row(r)[1] for r in m.rows if r]
-    return len(kernels.rref_int(int_rows)[1])
+    return kernels.rank_int(int_rows)
 
 
 def kernel_basis(m: RatMatrix) -> list:

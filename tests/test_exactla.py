@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lefschetz import kernels
 from lefschetz.exactla import (
     NotSquareError,
     RatMatrix,
@@ -195,6 +196,26 @@ def test_rank_agrees_with_naive_and_transpose(rows):
     assert r == naive_rank(rows)
     assert r == rref(m).rank
     assert r == rank(m.transpose())
+
+
+def test_rank_never_back_substitutes(monkeypatch):
+    # rank reads the forward pass only; rref_int is the back-substitution
+    def boom(rows):
+        raise AssertionError("rank called rref_int")
+
+    monkeypatch.setattr(kernels, "rref_int", boom)
+    half = Fraction(1, 2)
+    rows = [
+        {0: half, 2: Fraction(-2, 3)},
+        {},
+        {0: 3, 2: -4},
+        {1: Fraction(5, 7)},
+        {},
+        {0: Fraction(3, 4), 1: Fraction(5, 7), 2: -1},
+    ]
+    m = RatMatrix(rows, 3)
+    assert rank(m) == naive_rank(m.to_lists()) == 2
+    assert rank(RatMatrix.zero(3, 4)) == 0
 
 
 @given(matrices())

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,8 @@ def test_rref_identity_fixed_point():
     out, cols = kernels.rref_int(rows)
     assert out == rows
     assert cols == [0, 1, 2]
+    # rows returned unchanged are copies, never the caller's dicts
+    assert not any(row is src for row, src in zip(out, rows))
 
 
 def test_rref_drops_zero_and_duplicate_rows():
@@ -43,8 +46,6 @@ def test_rref_drops_zero_and_duplicate_rows():
 
 
 def test_rref_rows_are_primitive_with_positive_pivot():
-    from math import gcd
-
     rows = [{0: 4, 1: 6, 2: 10}, {0: 2, 2: 8}]
     out, cols = kernels.rref_int(rows)
     pivot_set = set(cols)
@@ -88,6 +89,65 @@ def test_rref_rows_scaled_by_pivot_match_gauss_jordan():
 def test_rref_rank_matches_naive_elimination(rows):
     _, cols = kernels.rref_int(_as_dicts(rows))
     assert len(cols) == naive_rank(rows)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 10x10 mostly-zero integer matrices in -50..50, with zero rows
+    and repeated (possibly rescaled) rows mixed in."""
+    ncols = draw(st.integers(1, 10))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-50, 50))
+    rows = draw(
+        st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=10)
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        if len(rows) < 10:
+            source = draw(st.sampled_from(rows))
+            scale = draw(st.sampled_from((1, 1, -1, 2, -3)))
+            rows.insert(draw(st.integers(0, len(rows))), [scale * v for v in source])
+    if draw(st.booleans()) and len(rows) < 10:
+        rows.append([0] * ncols)
+    return rows
+
+
+def _primitive_dense(row):
+    # a rational row with leading entry 1, scaled to a primitive integer row
+    mult = lcm(*(v.denominator for v in row))
+    ints = [int(v * mult) for v in row]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
+@given(sparse_rows())
+@settings(max_examples=300)
+def test_rank_and_rref_match_naive_elimination(rows):
+    dicts = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    before = [dict(d) for d in dicts]
+    ncols = len(rows[0])
+    expected = naive_rref(rows)
+
+    assert kernels.rank_int(dicts) == naive_rank(rows)
+    assert dicts == before
+    out, cols = kernels.rref_int(dicts)
+    assert dicts == before
+    assert len(cols) == naive_rank(rows)
+    assert [[row.get(j, 0) for j in range(ncols)] for row in out] == [
+        _primitive_dense(r) for r in expected
+    ]
+    assert not any(row is d for row in out for d in dicts)
+
+
+@given(sparse_rows())
+@settings(max_examples=150)
+def test_forward_pass_rows_are_primitive_with_positive_lead(rows):
+    dicts = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    pivots = kernels._forward(dicts)
+    assert len(pivots) == naive_rank(rows)
+    for lead, row in pivots.items():
+        assert min(row) == lead
+        assert row[lead] > 0
+        assert gcd(*row.values()) == 1
+        assert not any(row is d for d in dicts)
 
 
 @given(
