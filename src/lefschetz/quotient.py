@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import chain, product
 
 from . import exactla
 from .exactla import RatMatrix, _coerce
@@ -19,8 +20,8 @@ from .polyring import (
     HomogeneousPoly,
     IdealPresentation,
     _basis_index,
+    column_runs,
     ideal_degree_slice,
-    mono_mul,
     mono_str,
     monomial_basis,
 )
@@ -251,7 +252,9 @@ class GradedQuotient:
         Raises :class:`NotArtinianWithinCapError` when no zero value appears
         by the cap; once a graded piece vanishes every later one does, so the
         first zero ends the scan.  It raises before building any slice when
-        some variable has no pure power among the generators' terms.
+        some variable has no pure power among the generators' terms, when
+        there are fewer generators than variables, or, in at most three
+        variables, when every generator vanishes at a point of {0,1}^n.
 
         With ``socle_degree=D`` the quotient A is Artinian Gorenstein, so
         multiplication A_d x A_{D-d} -> A_D, a one-dimensional space, is a
@@ -284,12 +287,11 @@ class GradedQuotient:
         # If no generator has a nonzero x_j^deg term, every generator
         # vanishes at the coordinate point e_j, so R/I maps onto K[x_j] and
         # h(d) >= 1 in every degree: no scan can reach a zero.
-        nvars = self.ideal.nvars
+        nvars, gens = self.ideal.nvars, self.ideal.generators
         for j in range(nvars):
             unit = tuple(int(i == j) for i in range(nvars))
             if not any(
-                g.terms.get(tuple(g.degree * e for e in unit))
-                for g in self.ideal.generators
+                g.terms.get(tuple(g.degree * e for e in unit)) for g in gens
             ):
                 raise NotArtinianWithinCapError(
                     f"Hilbert function still positive at the cap "
@@ -297,16 +299,36 @@ class GradedQuotient:
                     f"{mono_str(unit)}, so h(d) >= 1 in every degree"
                 )
         # Krull's height theorem: r generators leave a quotient of dimension
-        # at least nvars - r.  Other non-Artinian ideals, such as
-        # (x^2 - y^2, x*y - y^2, z^2), which vanishes at (1, 1, 0), are only
-        # found by the scan below.
-        ngens = len(self.ideal.generators)
-        if ngens < nvars:
+        # at least nvars - r.
+        if len(gens) < nvars:
             raise NotArtinianWithinCapError(
                 f"Hilbert function still positive at the cap "
-                f"{self.degree_cap}: {ngens} generator(s) in {nvars} "
+                f"{self.degree_cap}: {len(gens)} generator(s) in {nvars} "
                 f"variables leave a quotient of positive dimension"
             )
+        # If every generator vanishes at a point p, then I lies in the ideal
+        # I(p) of the line through p, so R/I maps onto R/I(p) = K[t] and
+        # h(d) >= 1 in every degree.  At p in {0,1}^n a generator's value is
+        # the sum of the coefficients of its terms supported on p's support.
+        # A monomial ideal is Artinian exactly when the pure-power check
+        # above passes, so only ideals with a wider generator are tested,
+        # such as (x^2 - y^2, x*y - y^2, z^2), which vanishes at (1, 1, 0).
+        # Other non-Artinian ideals are only found by the scan below.
+        if nvars <= 3 and any(len(g.terms) > 1 for g in gens):
+            for p in product((0, 1), repeat=nvars):
+                if any(p) and not any(
+                    sum(
+                        c
+                        for m, c in g.terms.items()
+                        if all(on or not e for on, e in zip(p, m))
+                    )
+                    for g in gens
+                ):
+                    raise NotArtinianWithinCapError(
+                        f"Hilbert function still positive at the cap "
+                        f"{self.degree_cap}: every generator vanishes at the "
+                        f"point {p}, so h(d) >= 1 in every degree"
+                    )
         values = []
         for d in range(self.degree_cap + 1):
             h = self.hilbert(d)
@@ -335,7 +357,8 @@ class GradedQuotient:
                 f"degree {degree + power} exceeds the cap {self.degree_cap}"
             )
         return _multiply_into(
-            self.slice(degree).standard_monomials,
+            self.slice(degree).standard_columns,
+            degree,
             _form_power(form.coefficients, power),
             self.slice(degree + power),
         )
@@ -482,9 +505,9 @@ class GradedQuotient:
         if divisor.nvars != self.ideal.nvars:
             raise ValueError("divisor variable count mismatch")
         target = self.slice(degree + divisor.degree)
-        source = monomial_basis(self.ideal.nvars, degree)
-        product = _multiply_into(source, divisor, target)
-        return len(source) - exactla.rank(product)
+        size = len(monomial_basis(self.ideal.nvars, degree))
+        products = _multiply_into(range(size), degree, divisor, target)
+        return size - exactla.rank(products)
 
     def quotient_vector(self, poly: HomogeneousPoly) -> dict:
         """Coordinates of a polynomial's residue on the standard monomials
@@ -495,18 +518,52 @@ class GradedQuotient:
         return sl.residue(vec)
 
 
-def _multiply_into(sources, poly: HomogeneousPoly, target) -> RatMatrix:
-    """Multiply-then-reduce: column j is the residue of ``poly * sources[j]``
-    modulo the slice ``target``, on the rows of its standard columns."""
-    index = _basis_index(poly.nvars, target.degree)
+@functools.lru_cache(maxsize=None)
+def _product_columns(nvars: int, degree: int, power: int) -> tuple:
+    """Product columns: entry s holds, for the s-th degree-``degree`` basis
+    monomial, the degree-(degree+power) basis columns of its products with
+    every degree-``power`` basis monomial, in basis order.
+
+    Graded lex is a monomial order, so multiplying by t keeps it: the k-th
+    multiple of t in column order (:func:`column_runs`) is t times the k-th
+    degree-``degree`` basis monomial.  The runs of each degree-``power``
+    monomial t, one tuple per t, are thus the table's columns, and their
+    transpose is the table.  It depends only on (nvars, degree, power), not
+    on an ideal or a form, so every quotient of a process shares it.
+    Callers only read the result.
+    """
+    return tuple(
+        zip(
+            *(
+                chain.from_iterable(column_runs(t, degree + power))
+                for t in monomial_basis(nvars, power)
+            )
+        )
+    )
+
+
+def _multiply_into(
+    source_columns, degree: int, poly: HomogeneousPoly, target
+) -> RatMatrix:
+    """Multiply-then-reduce: column j is the residue of ``poly`` times the
+    degree-``degree`` basis monomial at column ``source_columns[j]``, modulo
+    the slice ``target`` of degree ``degree + poly.degree``, on the rows of
+    its standard columns.
+
+    Each product vector pairs the source's row of :func:`_product_columns`
+    with ``poly``'s coefficients on its degree basis, 0 for absent terms;
+    :meth:`DegreeSlice.residue` drops the zeros.
+    """
+    nvars, power = poly.nvars, poly.degree
+    table = _product_columns(nvars, degree, power)
+    terms = poly.terms
+    coeffs = [terms.get(u, 0) for u in monomial_basis(nvars, power)]
     rows = {col: {} for col in target.standard_columns}  # in row order
-    terms = list(poly.terms.items())
-    for j, mono in enumerate(sources):
-        vec = {index[mono_mul(t, mono)]: c for t, c in terms}
-        rem = target.residue(vec)
+    for j, s in enumerate(source_columns):
+        rem = target.residue(dict(zip(table[s], coeffs)))
         for col, value in rem.items():
             rows[col][j] = value
-    return RatMatrix(rows.values(), len(sources))
+    return RatMatrix(rows.values(), len(source_columns))
 
 
 def residue_membership(ideal: IdealPresentation, degree: int) -> list:

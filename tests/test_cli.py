@@ -525,9 +525,9 @@ def test_hilbert_huge_default_cap_not_artinian_exits_at_once():
 
 
 def test_hilbert_not_artinian_with_pure_powers_stops_at_explicit_cap():
-    # every variable has a pure power and there are three generators, so
-    # only the scan finds that the ideal vanishes at (1, 1, 0); an explicit
-    # --cap bounds it where the default cap 2997 would not finish
+    # every variable has a pure power and there are three generators; the
+    # zero-one point check finds that the ideal vanishes at (1, 1, 0), and
+    # the message names the explicit --cap
     ideal = "x^999 - y^999, x*y^998 - y^999, z^999"
     proc = _python_src(
         ["-m", "lefschetz.cli", "hilbert", "--ideal", ideal, "--cap", "40"],
@@ -535,6 +535,18 @@ def test_hilbert_not_artinian_with_pure_powers_stops_at_explicit_cap():
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "still positive at the cap 40" in proc.stderr
+
+
+def test_hilbert_not_artinian_at_a_zero_one_point_exits_at_once():
+    # the generators all vanish at (1, 1, 0); without --cap a scan to the
+    # default cap 2997 would not finish
+    ideal = "x^999 - y^999, x*y^998 - y^999, z^999"
+    proc = _python_src(
+        ["-m", "lefschetz.cli", "hilbert", "--ideal", ideal], timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "still positive at the cap 2997:" in proc.stderr
+    assert "(1, 1, 0)" in proc.stderr
 
 
 def _modules_loaded_by_cli_import(python_args=()):

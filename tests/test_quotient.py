@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import family
-from lefschetz.exactla import rank
+from lefschetz.exactla import RatMatrix, rank
 from lefschetz.polyring import (
     HomogeneousPoly,
     IdealPresentation,
+    _basis_index,
     ideal_degree_slice,
+    mono_mul,
     monomial_basis,
     parse_ideal,
     parse_poly,
@@ -25,6 +28,7 @@ from lefschetz.quotient import (
     NotGorensteinShapeError,
     SearchStrategy,
     _form_power,
+    _product_columns,
     fixed_candidate,
     residue_membership,
 )
@@ -117,6 +121,29 @@ def test_too_few_generators_raise_before_building_slices():
     assert q._slices == {}
 
 
+@pytest.mark.parametrize(
+    "text,nvars,point",
+    [
+        ("x^999 - y^999, x*y^998 - y^999, z^999", 3, (1, 1, 0)),
+        ("x^2 - y^2, x*y - y^2, z^2", 3, (1, 1, 0)),
+        ("x^2 - x*y + 2*y*z - 2*z^2, y^3 - z^3, x^4 - y*z^3", 3, (1, 1, 1)),
+        ("x^2 - y^2, x*y - y^2", 2, (1, 1)),
+    ],
+)
+def test_zero_one_point_raises_before_building_slices(text, nvars, point):
+    # every generator vanishes at the point, so R/I maps onto K[t]
+    names = ("x", "y", "z")[:nvars]
+    q = GradedQuotient(parse_ideal(text, nvars=nvars, names=names))
+    cap = q.degree_cap
+    with pytest.raises(
+        NotArtinianWithinCapError,
+        match=rf"^Hilbert function still positive at the cap {cap}: .*"
+        + re.escape(str(point)),
+    ):
+        q.hilbert_data()
+    assert q._slices == {}
+
+
 def test_cap_enforced():
     q = quotient_of("x^2, y^2, z^2", cap=3)
     with pytest.raises(CapExceededError):
@@ -158,6 +185,85 @@ def test_multiplication_rank_matches_box_oracle():
     for degree, power in [(0, 1), (1, 1), (2, 1), (3, 1), (1, 2), (0, 3), (2, 2)]:
         got = rank(q.multiplication_matrix(form, degree, power))
         assert got == monomial_ci_mult_rank((3, 3, 3), coeffs, degree, power)
+
+
+@given(st.integers(1, 4), st.integers(0, 8), st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_product_columns_match_brute_force(nvars, degree, power):
+    table = _product_columns(nvars, degree, power)
+    index = _basis_index(nvars, degree + power)
+    assert type(table) is tuple and all(type(row) is tuple for row in table)
+    assert table == tuple(
+        tuple(index[mono_mul(t, u)] for u in monomial_basis(nvars, power))
+        for t in monomial_basis(nvars, degree)
+    )
+
+
+def _naive_multiplication_matrix(q, form, degree, power):
+    """Multiply-then-reduce by brute force: the columns of each product are
+    looked up monomial by monomial in the target basis."""
+    poly = form.to_poly() ** power
+    source, target = q.slice(degree), q.slice(degree + power)
+    index = {m: i for i, m in enumerate(target.basis)}
+    rows = {col: {} for col in target.standard_columns}
+    for j, mono in enumerate(source.standard_monomials):
+        vec = {index[mono_mul(t, mono)]: c for t, c in poly.terms.items()}
+        for col, value in target.residue(vec).items():
+            rows[col][j] = value
+    return RatMatrix(rows.values(), len(source.standard_monomials))
+
+
+_FORM_COEFFS = (0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def binomial_quotients(draw):
+    """(ideal, form): an ideal in 2 or 3 variables of monomial and binomial
+    generators of degree 1 to 3, with integer or fractional coefficients,
+    and a linear form that may have zero or fractional coefficients."""
+    nvars = draw(st.sampled_from((2, 3)))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        basis = monomial_basis(nvars, draw(st.integers(1, 3)))
+        monos = draw(
+            st.lists(st.sampled_from(basis), min_size=1, max_size=2, unique=True)
+        )
+        coeffs = draw(
+            st.lists(
+                st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-3, 4))),
+                min_size=len(monos),
+                max_size=len(monos),
+            )
+        )
+        gens.append(HomogeneousPoly(nvars, sum(monos[0]), dict(zip(monos, coeffs))))
+    form = draw(
+        st.lists(
+            st.sampled_from(_FORM_COEFFS), min_size=nvars, max_size=nvars
+        ).filter(any)
+    )
+    return IdealPresentation(nvars, gens), LinearForm(form)
+
+
+@given(binomial_quotients(), st.integers(0, 3), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_multiplication_matrix_matches_naive_reference(case, degree, power):
+    ideal, form = case
+    q = GradedQuotient(ideal, degree_cap=degree + power)
+    assert q.multiplication_matrix(form, degree, power) == (
+        _naive_multiplication_matrix(q, form, degree, power)
+    )
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0), (1, 1, 0), (0, Fraction(1, 3), 1)])
+def test_sparse_form_matrices_match_naive_reference(coeffs):
+    # x, x + y and y/3 + z: zero coefficients in the form and its powers
+    q = quotient_of("x^2 - y*z, y^3, x*z^2, z^4", cap=7)
+    form = LinearForm(coeffs)
+    for power in range(1, 5):
+        for degree in range(7 - power + 1):
+            assert q.multiplication_matrix(form, degree, power) == (
+                _naive_multiplication_matrix(q, form, degree, power)
+            )
 
 
 def test_wlp_holds_with_fixed_certificate():
