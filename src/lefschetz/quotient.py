@@ -312,7 +312,9 @@ class GradedQuotient:
         # the sum of the coefficients of its terms supported on p's support.
         # A monomial ideal is Artinian exactly when the pure-power check
         # above passes, so only ideals with a wider generator are tested,
-        # such as (x^2 - y^2, x*y - y^2, z^2), which vanishes at (1, 1, 0).
+        # such as (x^2 - y^2, x*y - y^2, z^2), which vanishes at (1, 1, 0),
+        # and only in at most three variables, where there are at most
+        # seven points.
         # Other non-Artinian ideals are only found by the scan below.
         if nvars <= 3 and any(len(g.terms) > 1 for g in gens):
             for p in product((0, 1), repeat=nvars):

@@ -213,9 +213,6 @@ def _naive_multiplication_matrix(q, form, degree, power):
     return RatMatrix(rows.values(), len(source.standard_monomials))
 
 
-_FORM_COEFFS = (0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3))
-
-
 @st.composite
 def binomial_quotients(draw):
     """(ideal, form): an ideal in 2 or 3 variables of monomial and binomial
@@ -238,7 +235,9 @@ def binomial_quotients(draw):
         gens.append(HomogeneousPoly(nvars, sum(monos[0]), dict(zip(monos, coeffs))))
     form = draw(
         st.lists(
-            st.sampled_from(_FORM_COEFFS), min_size=nvars, max_size=nvars
+            st.sampled_from((0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3))),
+            min_size=nvars,
+            max_size=nvars,
         ).filter(any)
     )
     return IdealPresentation(nvars, gens), LinearForm(form)
