@@ -101,14 +101,9 @@ class SweepConfig(Record):
             raise ValueError("jobs must be at least 1")
         if filter not in ("all", "covered", "uncovered"):
             raise ValueError(f"unknown filter {filter!r}")
-        object.__setattr__(self, "a_max", a_max)
-        object.__setattr__(self, "a_min", a_min)
-        object.__setattr__(self, "filter", filter)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "slp", slp)
-        object.__setattr__(self, "jobs", jobs)
+        Record.__init__(
+            self, a_max, a_min, filter, trials, bound, seed, slp, jobs
+        )
 
 
 def _tuple_seed(seed, params: family.GorensteinParams) -> str:
@@ -441,18 +436,6 @@ def _add_hilbert_args(parser):
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-# subcommand -> (help line, function adding its options), in help order
-_COMMANDS = {
-    "wlp": ("weak Lefschetz verdict for one tuple", _add_verdict_args),
-    "slp": ("strong Lefschetz verdict for one tuple", _add_verdict_args),
-    "classify": ("coverage flags for one tuple", _add_param_args),
-    "sweep": ("verdicts for every valid tuple", _add_sweep_args),
-    "apery": ("numerical semigroup report", _add_apery_args),
-    "lemma": ("randomized determinant-identity batch", _add_lemma_args),
-    "hilbert": ("Hilbert function table", _add_hilbert_args),
-}
-
-
 def _build_parser(argv) -> _Parser:
     """The parser for ``argv``.
 
@@ -471,12 +454,13 @@ def _build_parser(argv) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
     for name in names:
-        help_line, add_args = _COMMANDS[name]
+        help_line, add_args, _ = _COMMANDS[name]
         add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
-def _single_verdict(args, want_slp: bool) -> int:
+def _single_verdict(args) -> int:
+    want_slp = args.command == "slp"
     params = family.validate(args.a, args.b, args.c, args.beta, args.gamma)
     record = _verdict_record(
         params, args.trials, args.bound, args.seed, want_slp
@@ -676,6 +660,23 @@ def _cmd_hilbert(args) -> int:
     return EXIT_OK
 
 
+# subcommand -> (help line, function adding its options, handler), in help
+# order
+_COMMANDS = {
+    "wlp": ("weak Lefschetz verdict for one tuple", _add_verdict_args, _single_verdict),
+    "slp": (
+        "strong Lefschetz verdict for one tuple",
+        _add_verdict_args,
+        _single_verdict,
+    ),
+    "classify": ("coverage flags for one tuple", _add_param_args, _cmd_classify),
+    "sweep": ("verdicts for every valid tuple", _add_sweep_args, _cmd_sweep),
+    "apery": ("numerical semigroup report", _add_apery_args, _cmd_apery),
+    "lemma": ("randomized determinant-identity batch", _add_lemma_args, _cmd_lemma),
+    "hilbert": ("Hilbert function table", _add_hilbert_args, _cmd_hilbert),
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
@@ -686,21 +687,7 @@ def main(argv=None) -> int:
     except SystemExit as err:  # --help / --version
         return err.code or 0
     try:
-        if args.command == "wlp":
-            return _single_verdict(args, want_slp=False)
-        if args.command == "slp":
-            return _single_verdict(args, want_slp=True)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "apery":
-            return _cmd_apery(args)
-        if args.command == "lemma":
-            return _cmd_lemma(args)
-        if args.command == "hilbert":
-            return _cmd_hilbert(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][2](args)
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

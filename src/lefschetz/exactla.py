@@ -154,9 +154,6 @@ class EchelonForm(Record):
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: dict):
-        object.__setattr__(self, "rows", rows)
-
     @property
     def pivot_columns(self) -> tuple:
         return tuple(self.rows)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import islice, repeat
 
 from . import exactla
@@ -42,59 +41,11 @@ class GammaRangeError(ParameterError):
 class GorensteinParams(Record):
     """Family parameters (a, b, c, beta, gamma).
 
-    Equality, the hash and the four orderings are those of :meth:`as_tuple`,
-    written out field by field as a dataclass writes them.  Through the base
-    class's ``attrgetter``, ``hash`` and ``==`` took 1.5 to 2 times as long
-    (Python 3.11), and a call to :meth:`as_tuple` made ``<`` 1.2 times as
-    slow.
+    Equality and the hash are those of :meth:`as_tuple`, which is also the
+    sort key.
     """
 
     __slots__ = ("a", "b", "c", "beta", "gamma")
-
-    def __init__(self, a: int, b: int, c: int, beta: int, gamma: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.beta, self.gamma) == (
-            other.a, other.b, other.c, other.beta, other.gamma
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.beta, self.gamma))
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.beta, self.gamma) < (
-            other.a, other.b, other.c, other.beta, other.gamma
-        )
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.beta, self.gamma) <= (
-            other.a, other.b, other.c, other.beta, other.gamma
-        )
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.beta, self.gamma) > (
-            other.a, other.b, other.c, other.beta, other.gamma
-        )
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.beta, self.gamma) >= (
-            other.a, other.b, other.c, other.beta, other.gamma
-        )
 
     @property
     def socle_degree(self) -> int:
@@ -190,26 +141,6 @@ class CoverageReport(Record):
 
     __slots__ = _FLAG_NAMES
 
-    def __init__(
-        self,
-        thm37: bool,
-        thm38: bool,
-        cor313a: bool,
-        cor313b: bool,
-        small2: bool,
-        small3: bool,
-        small4: bool,
-        small5: bool,
-    ):
-        object.__setattr__(self, "thm37", thm37)
-        object.__setattr__(self, "thm38", thm38)
-        object.__setattr__(self, "cor313a", cor313a)
-        object.__setattr__(self, "cor313b", cor313b)
-        object.__setattr__(self, "small2", small2)
-        object.__setattr__(self, "small3", small3)
-        object.__setattr__(self, "small4", small4)
-        object.__setattr__(self, "small5", small5)
-
     @property
     def covered(self) -> bool:
         return any(getattr(self, name) for name in _FLAG_NAMES)
@@ -296,9 +227,7 @@ class SnMatrix(Record):
             raise ValueError("last row must be nonnegative")
         if last_row[-1] <= 0:
             raise ValueError("last row must end with a positive entry")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "last_row", last_row)
+        Record.__init__(self, size, upper, last_row)
 
     def to_matrix(self) -> RatMatrix:
         rows = [
@@ -311,14 +240,6 @@ class SnMatrix(Record):
 
 class SnCheck(Record):
     __slots__ = ("det", "alpha_last", "equal", "positive")
-
-    def __init__(
-        self, det: int | Fraction, alpha_last: int, equal: bool, positive: bool
-    ):
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "alpha_last", alpha_last)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "positive", positive)
 
 
 def sn_alpha(matrix: SnMatrix) -> tuple:

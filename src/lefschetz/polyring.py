@@ -248,8 +248,7 @@ class IdealPresentation(Record):
                 raise ValueError("zero generator")
             if g.degree < 1:
                 raise ValueError("generators must have positive degree")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "generators", gens)
+        Record.__init__(self, nvars, gens)
 
     def as_text(self, names: tuple = None) -> str:
         return ", ".join(g.as_text(names) for g in self.generators)
@@ -274,22 +273,6 @@ class DegreeSlice(Record):
         "standard_monomials",
         "standard_columns",
     )
-
-    def __init__(
-        self,
-        degree: int,
-        basis: tuple,
-        dead: frozenset,
-        echelon: EchelonForm,
-        standard_monomials: tuple,
-        standard_columns: tuple,
-    ):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "dead", dead)
-        object.__setattr__(self, "echelon", echelon)
-        object.__setattr__(self, "standard_monomials", standard_monomials)
-        object.__setattr__(self, "standard_columns", standard_columns)
 
     @property
     def rank(self) -> int:

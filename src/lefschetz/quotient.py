@@ -55,7 +55,7 @@ class LinearForm(Record):
         coeffs = tuple(map(_coerce, coefficients))
         if not coeffs or not any(coeffs):
             raise ValueError("linear form must be nonzero")
-        object.__setattr__(self, "coefficients", coeffs)
+        Record.__init__(self, coeffs)
 
     @property
     def nvars(self) -> int:
@@ -101,18 +101,13 @@ class SearchStrategy(Record):
             raise ValueError("trials must be at least 1")
         if bound < 1:
             raise ValueError("bound must be at least 1")
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "seed", seed)
+        Record.__init__(self, trials, bound, seed)
 
 
 class HilbertData(Record):
     """Hilbert function values h(0..socle_degree); the next value is zero."""
 
     __slots__ = ("h",)
-
-    def __init__(self, h: tuple):
-        object.__setattr__(self, "h", h)
 
     @property
     def socle_degree(self) -> int:
@@ -124,22 +119,6 @@ class MapRank(Record):
 
     __slots__ = ("degree", "power", "dim_from", "dim_to", "rank", "maximal")
 
-    def __init__(
-        self,
-        degree: int,
-        power: int,
-        dim_from: int,
-        dim_to: int,
-        rank: int,
-        maximal: bool,
-    ):
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "dim_from", dim_from)
-        object.__setattr__(self, "dim_to", dim_to)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "maximal", maximal)
-
 
 class LefschetzReport(Record, compare=("verdict", "certificate_form", "per_map")):
     """Verdict of a WLP or SLP search, with the records of the last form tried.
@@ -148,18 +127,6 @@ class LefschetzReport(Record, compare=("verdict", "certificate_form", "per_map")
     """
 
     __slots__ = ("verdict", "certificate_form", "per_map", "strategy")
-
-    def __init__(
-        self,
-        verdict: str,
-        certificate_form: LinearForm | None,
-        per_map: tuple,
-        strategy: dict,
-    ):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "certificate_form", certificate_form)
-        object.__setattr__(self, "per_map", per_map)
-        object.__setattr__(self, "strategy", strategy)
 
 
 def _random_form(rng: random.Random, nvars: int, bound: int) -> LinearForm:
@@ -185,6 +152,17 @@ def _form_power(coefficients: tuple, power: int) -> HomogeneousPoly:
     if power == 1:
         return linear
     return _form_power(coefficients, power - 1) * linear
+
+
+def _value_at(poly: HomogeneousPoly, point: tuple):
+    """The value of ``poly`` at ``point``: the sum over its terms of the
+    coefficient times the product of point[i] ** exponent[i], with 0 ** 0 = 1."""
+    total = 0
+    for mono, coeff in poly.terms.items():
+        for value, exp in zip(point, mono):
+            coeff *= value**exp
+        total += coeff
+    return total
 
 
 class GradedQuotient:
@@ -254,7 +232,8 @@ class GradedQuotient:
         first zero ends the scan.  It raises before building any slice when
         some variable has no pure power among the generators' terms, when
         there are fewer generators than variables, or, in at most three
-        variables, when every generator vanishes at a point of {0,1}^n.
+        variables, when every generator vanishes at a point with coordinates
+        in {-1, 0, 1}, tried first on {0,1}^n.
 
         With ``socle_degree=D`` the quotient A is Artinian Gorenstein, so
         multiplication A_d x A_{D-d} -> A_D, a one-dimensional space, is a
@@ -308,24 +287,23 @@ class GradedQuotient:
             )
         # If every generator vanishes at a point p, then I lies in the ideal
         # I(p) of the line through p, so R/I maps onto R/I(p) = K[t] and
-        # h(d) >= 1 in every degree.  At p in {0,1}^n a generator's value is
-        # the sum of the coefficients of its terms supported on p's support.
-        # A monomial ideal is Artinian exactly when the pure-power check
-        # above passes, so only ideals with a wider generator are tested,
-        # such as (x^2 - y^2, x*y - y^2, z^2), which vanishes at (1, 1, 0),
-        # and only in at most three variables, where there are at most
-        # seven points.
+        # h(d) >= 1 in every degree.  The points tried have coordinates in
+        # {-1, 0, 1}, first those in {0,1}^n; a generator g is homogeneous,
+        # so g(-p) = +-g(p) and only points whose first nonzero coordinate
+        # is 1 are tried.  A monomial ideal is Artinian exactly when the
+        # pure-power check above passes, so only ideals with a wider
+        # generator are tested, such as (x^2 - y^2, x*y - y^2, z^2), which
+        # vanishes at (1, 1, 0), and only in at most three variables, where
+        # there are at most thirteen points.
         # Other non-Artinian ideals are only found by the scan below.
         if nvars <= 3 and any(len(g.terms) > 1 for g in gens):
-            for p in product((0, 1), repeat=nvars):
-                if any(p) and not any(
-                    sum(
-                        c
-                        for m, c in g.terms.items()
-                        if all(on or not e for on, e in zip(p, m))
-                    )
-                    for g in gens
-                ):
+            signs = product((0, 1, -1), repeat=nvars)
+            points = sorted(
+                (p for p in signs if next(filter(None, p), 0) == 1),
+                key=lambda p: -1 in p,
+            )
+            for p in points:
+                if not any(_value_at(g, p) for g in gens):
                     raise NotArtinianWithinCapError(
                         f"Hilbert function still positive at the cap "
                         f"{self.degree_cap}: every generator vanishes at the "

@@ -24,11 +24,6 @@ class AperySet(Record):
 
     __slots__ = ("modulus", "elements", "orders")
 
-    def __init__(self, modulus: int, elements: tuple, orders: tuple):
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "orders", orders)
-
 
 class NumericalSemigroup:
     """Submonoid of the nonnegative integers with coprime generators.

@@ -149,7 +149,7 @@ def test_help_lists_every_subcommand(capsys):
     code, out, _ = run(["--help"], capsys)
     assert code == 0
     assert out.startswith("usage: lefschetz")
-    for name, (help_line, _) in cli._COMMANDS.items():
+    for name, (help_line, _, _) in cli._COMMANDS.items():
         assert name in out and help_line in out
     code, out, _ = run(["hilbert", "--help"], capsys)
     assert code == 0
@@ -547,6 +547,18 @@ def test_hilbert_not_artinian_at_a_zero_one_point_exits_at_once():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert "still positive at the cap 2997:" in proc.stderr
     assert "(1, 1, 0)" in proc.stderr
+
+
+def test_hilbert_not_artinian_at_a_sign_point_exits_at_once():
+    # the generators all vanish at (1, -1, 0) and at no point of {0,1}^3;
+    # without --cap a scan to the default cap 2994 would not finish
+    ideal = "x^998 - y^998, x*y^997 + y^998, z^998"
+    proc = _python_src(
+        ["-m", "lefschetz.cli", "hilbert", "--ideal", ideal], timeout=10
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "still positive at the cap 2994:" in proc.stderr
+    assert "(1, -1, 0)" in proc.stderr
 
 
 def _modules_loaded_by_cli_import(python_args=()):

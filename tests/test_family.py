@@ -7,6 +7,7 @@ from lefschetz.family import (
     ACOrderError,
     BetaRangeError,
     GammaRangeError,
+    GorensteinParams,
     ParameterError,
     SnMatrix,
     build_ci,
@@ -146,7 +147,7 @@ def test_region_implications_hold_on_enumeration():
 def test_enumeration_is_sorted_and_valid():
     params = list(enumerate_params(3))
     assert len(params) == 12
-    assert params == sorted(params)
+    assert params == sorted(params, key=GorensteinParams.as_tuple)
     assert params[0].as_tuple() == (2, 2, 2, 1, 1)
     for p in params:
         assert validate(*p.as_tuple()) == p

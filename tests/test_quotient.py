@@ -128,6 +128,7 @@ def test_too_few_generators_raise_before_building_slices():
         ("x^2 - y^2, x*y - y^2, z^2", 3, (1, 1, 0)),
         ("x^2 - x*y + 2*y*z - 2*z^2, y^3 - z^3, x^4 - y*z^3", 3, (1, 1, 1)),
         ("x^2 - y^2, x*y - y^2", 2, (1, 1)),
+        ("x^998 - y^998, x*y^997 + y^998, z^998", 3, (1, -1, 0)),
     ],
 )
 def test_zero_one_point_raises_before_building_slices(text, nvars, point):

@@ -5,13 +5,16 @@ the same class compare equal), prints as ``Name(field=value, ...)`` and,
 where a sweep or a caller may send it to another process, pickles.
 """
 
+import importlib
 import operator
 import pickle
+import pkgutil
 
 import pytest
 
 from lefschetz import cli, exactla, family, polyring, quotient, semigroup
 from lefschetz.polyring import HomogeneousPoly
+from lefschetz.record import Record
 
 
 def _ideal():
@@ -169,18 +172,22 @@ def test_records_compare_field_by_field():
     assert {params(2, 2, 2, 1, 1), params(2, 2, 2, 1, 1)} == {params(2, 2, 2, 1, 1)}
 
 
-def test_gorenstein_params_order_like_their_tuples():
+def test_gorenstein_params_hash_like_their_tuples_and_do_not_order():
     params = list(family.enumerate_params(4))[::7]
-    params.append(family.GorensteinParams(4, 3, 3, 1, 1))
-    comparisons = (operator.lt, operator.le, operator.gt, operator.ge)
     for p in params:
-        for q in params:
-            for op in comparisons:
-                assert op(p, q) == op(p.as_tuple(), q.as_tuple())
-    by_tuple = sorted(params, key=family.GorensteinParams.as_tuple, reverse=True)
-    assert sorted(params, reverse=True) == by_tuple
-    p = params[0]
+        t = p.as_tuple()
+        assert hash(family.GorensteinParams(*t)) == hash(t)
+    # records have no ordering; ``as_tuple`` is the sort key
+    comparisons = (operator.lt, operator.le, operator.gt, operator.ge)
+    records = [build() for _, _, build in RECORDS] + params[:2]
+    for record in records:
+        for op in comparisons:
+            with pytest.raises(TypeError):
+                op(record, record)
+    p, q = params[:2]
     for op in comparisons:
+        with pytest.raises(TypeError):
+            op(p, q)
         with pytest.raises(TypeError):
             op(p, p.as_tuple())
 
@@ -223,6 +230,57 @@ def test_record_defaults():
     rank = quotient.MapRank
     by_name = rank(degree=1, power=1, dim_from=3, dim_to=3, rank=3, maximal=True)
     assert by_name == rank(1, 1, 3, 3, 3, True)
+    for cls, names, build in RECORDS:
+        values = tuple(getattr(build(), name) for name in names)
+        by_name = cls(**dict(zip(names, values)))
+        assert by_name == cls(*values)
+        assert tuple(getattr(by_name, name) for name in names) == values
+        # keywords may follow positionals, in any order
+        mixed = cls(*values[:1], **dict(reversed(list(zip(names, values))[1:])))
+        assert mixed == by_name
+
+
+# records that only store their fields use Record's constructor as it is
+STORE_ONLY = [entry for entry in RECORDS if "__init__" not in vars(entry[0])]
+
+
+def _misuse(kind, names, values):
+    """Arguments that misuse a record constructor in the way ``kind`` names."""
+    fields = dict(zip(names, values))
+    if kind == "missing field":
+        return values[:-1], {}
+    if kind == "unknown keyword":
+        return (), {**fields, "not_a_field": 0}
+    if kind == "field given twice":
+        return values[:1], fields
+    return values + (0,), {}
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["missing field", "unknown keyword", "field given twice", "too many positionals"],
+)
+def test_record_constructor_rejects_misuse(kind):
+    assert len(STORE_ONLY) == 9
+    for cls, names, build in STORE_ONLY:
+        values = tuple(getattr(build(), name) for name in names)
+        args, kwargs = _misuse(kind, names, values)
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\(\)"):
+            cls(*args, **kwargs)
+
+
+def test_every_record_class_is_tested():
+    # a new record class must join RECORDS, and so every test above
+    package = importlib.import_module("lefschetz")
+    for info in pkgutil.iter_modules(package.__path__, "lefschetz."):
+        importlib.import_module(info.name)
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("lefschetz."):
+                found.add(sub)
+                todo.append(sub)
+    assert found == {cls for cls, _, _ in RECORDS}
 
 
 @pytest.mark.parametrize(
