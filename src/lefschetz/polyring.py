@@ -316,6 +316,21 @@ def column_runs(mono: Monomial, degree: int) -> list:
     return out
 
 
+@lru_cache(maxsize=1024)
+def multiple_columns(mono: Monomial, degree: int) -> tuple:
+    """The basis columns of the degree-d multiples of a monomial, in
+    increasing order: the runs of :func:`column_runs`, joined.
+
+    Shared by every slice and multiplication table of a process, so the
+    columns of a generator's term are listed once per degree, not once per
+    ideal that has the term.  The 1,024 entries hold every pair that
+    ``sweep --a-max 7`` (425) or ``sweep --a-max 4 --slp`` (616) asks for,
+    and keep a long ad hoc scan from holding every degree.  Callers only
+    read the result.
+    """
+    return tuple(chain.from_iterable(column_runs(mono, degree)))
+
+
 def _runs(mono: Monomial, degree: int, start: int, out: list) -> None:
     """Append the runs of ``mono``, which divides into ``degree``, for the
     basis that starts at column ``start``."""
@@ -334,12 +349,12 @@ def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
     """Dead columns and live rows of the ideal's degree-d Macaulay matrix.
 
     A generator with a single term contributes no rows: every degree-d
-    multiple of it is a unit row, so its columns are collected, one run at a
-    time (see :func:`column_runs`), in the returned set of dead columns
-    instead.  Each multiple of a generator with two or more terms becomes a
-    ``{column: coefficient}`` row, its columns read off the runs of the
-    generator's terms, with its entries in dead columns dropped; rows left
-    empty are skipped.
+    multiple of it is a unit row, so its columns (see
+    :func:`multiple_columns`) are collected in the returned set of dead
+    columns instead.  Each multiple of a generator with two or more terms
+    becomes a ``{column: coefficient}`` row, its columns read off the
+    multiple columns of the generator's terms, with its entries in dead
+    columns dropped; rows left empty are skipped.
     """
     dead = set()
     wide = []
@@ -348,8 +363,7 @@ def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
             continue
         if len(g.terms) == 1:
             (t,) = g.terms
-            for run in column_runs(t, degree):
-                dead.update(run)
+            dead.update(multiple_columns(t, degree))
         else:
             wide.append(g.terms)
     rows = []
@@ -359,7 +373,7 @@ def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
         # the multipliers' basis, and the k-th columns of the generator's
         # terms make up the row of that multiplier.
         coeffs = tuple(terms.values())
-        columns = [chain.from_iterable(column_runs(t, degree)) for t in terms]
+        columns = [multiple_columns(t, degree) for t in terms]
         for cols in zip(*columns):
             row = {}
             for col, c in zip(cols, coeffs):

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import chain, product
+from collections import OrderedDict
+from itertools import product
 
 from . import exactla
 from .exactla import RatMatrix, _coerce
@@ -20,10 +21,10 @@ from .polyring import (
     HomogeneousPoly,
     IdealPresentation,
     _basis_index,
-    column_runs,
     ideal_degree_slice,
     mono_str,
     monomial_basis,
+    multiple_columns,
 )
 from .record import Record
 
@@ -74,14 +75,23 @@ class LinearForm(Record):
         )
 
     def as_text(self, names: tuple = None) -> str:
-        return self.to_poly().as_text(names)
+        return _form_text(self.coefficients, names)
 
     def __str__(self) -> str:
         return self.as_text()
 
 
+@functools.lru_cache(maxsize=64)
+def _form_text(coefficients: tuple, names: tuple) -> str:
+    """Text of the linear form with these coefficients.  A sweep prints the
+    fixed candidate on most records, so it is rendered once per process."""
+    return LinearForm(coefficients).to_poly().as_text(names)
+
+
+@functools.lru_cache(maxsize=None)
 def fixed_candidate(nvars: int) -> LinearForm:
-    """The deterministic first candidate: first variable minus the others."""
+    """The deterministic first candidate: first variable minus the others.
+    One record per variable count, shared: records are immutable."""
     return LinearForm((1,) + (-1,) * (nvars - 1))
 
 
@@ -154,6 +164,17 @@ def _form_power(coefficients: tuple, power: int) -> HomogeneousPoly:
     return _form_power(coefficients, power - 1) * linear
 
 
+# The process-wide slice table of :meth:`GradedQuotient.slice`, least
+# recently used first.  Neighbouring tuples of a sweep share their
+# low-degree generators, so most of their slices are equal.  With 128
+# entries `sweep --a-max 5` builds 360 of its 1,143 slices (343 distinct)
+# and `sweep --a-max 4 --slp` 236 of 421 (235 distinct); the table then
+# holds about 0.3 MB.  A larger bound saves few builds and keeps more
+# slices of ideals that share nothing, as a batch of ad hoc ideals does.
+_SHARED_SLICES = OrderedDict()
+_SHARED_SLICES_MAX = 128
+
+
 def _value_at(poly: HomogeneousPoly, point: tuple):
     """The value of ``poly`` at ``point``: the sum over its terms of the
     coefficient times the product of point[i] ** exponent[i], with 0 ** 0 = 1."""
@@ -205,15 +226,41 @@ class GradedQuotient:
         self.socle_degree = socle_degree
         self._slices = {}
         self._hilbert = None
+        # a frozen copy of the generators, the key of the shared slice table
+        self._frozen = tuple(
+            (g.degree, tuple(g.terms.items())) for g in ideal.generators
+        )
 
     def slice(self, degree: int):
+        """The degree-``degree`` slice, from this quotient's own cache, else
+        from the process-wide table ``_SHARED_SLICES``, else built."""
         if degree > self.degree_cap:
             raise CapExceededError(
                 f"degree {degree} exceeds the cap {self.degree_cap}"
             )
         sl = self._slices.get(degree)
         if sl is None:
-            sl = ideal_degree_slice(self.ideal, degree)
+            # The key holds the generators of degree at most ``degree``, as
+            # frozen copies.  That is sound: :func:`slice_rows` skips every
+            # generator of higher degree, so the slice reads nothing else,
+            # and the coefficients are exact, with an ``int`` equal to and
+            # hashing like the integral ``Fraction`` it stands for, which
+            # the :class:`RatMatrix` built from the rows coerces to the same
+            # ``int``.  So equal keys give equal slices.  ``dead`` is a
+            # ``frozenset`` and callers only read a slice.
+            key = (
+                self.ideal.nvars,
+                degree,
+                tuple(g for g in self._frozen if g[0] <= degree),
+            )
+            sl = _SHARED_SLICES.get(key)
+            if sl is None:
+                sl = ideal_degree_slice(self.ideal, degree)
+                _SHARED_SLICES[key] = sl
+                if len(_SHARED_SLICES) > _SHARED_SLICES_MAX:
+                    _SHARED_SLICES.popitem(last=False)
+            else:
+                _SHARED_SLICES.move_to_end(key)
             self._slices[degree] = sl
         return sl
 
@@ -505,9 +552,9 @@ def _product_columns(nvars: int, degree: int, power: int) -> tuple:
     every degree-``power`` basis monomial, in basis order.
 
     Graded lex is a monomial order, so multiplying by t keeps it: the k-th
-    multiple of t in column order (:func:`column_runs`) is t times the k-th
-    degree-``degree`` basis monomial.  The runs of each degree-``power``
-    monomial t, one tuple per t, are thus the table's columns, and their
+    multiple of t in column order (:func:`multiple_columns`) is t times the
+    k-th degree-``degree`` basis monomial.  The multiple columns of each
+    degree-``power`` monomial t are thus the table's columns, and their
     transpose is the table.  It depends only on (nvars, degree, power), not
     on an ideal or a form, so every quotient of a process shares it.
     Callers only read the result.
@@ -515,7 +562,7 @@ def _product_columns(nvars: int, degree: int, power: int) -> tuple:
     return tuple(
         zip(
             *(
-                chain.from_iterable(column_runs(t, degree + power))
+                multiple_columns(t, degree + power)
                 for t in monomial_basis(nvars, power)
             )
         )

@@ -1,3 +1,7 @@
+import pytest
+
+from lefschetz import polyring, quotient
+
 ACCEPTANCE_RESULTS = []
 
 
@@ -14,3 +18,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"ACCEPTANCE {number}: {'PASS' if passed else 'FAIL'}"
         )
+
+
+@pytest.fixture(autouse=True)
+def _fresh_shared_tables():
+    # The process-wide slice, column and form-text tables would let one
+    # test's results serve another's lookups, past any wrapper it installs.
+    quotient._SHARED_SLICES.clear()
+    for table in (
+        polyring.multiple_columns,
+        quotient.fixed_candidate,
+        quotient._form_text,
+    ):
+        table.cache_clear()

@@ -18,6 +18,7 @@ from lefschetz.polyring import (
     ideal_degree_slice,
     mono_str,
     monomial_basis,
+    multiple_columns,
     parse_ideal,
     parse_poly,
 )
@@ -395,4 +396,5 @@ def test_column_runs_match_brute_force(case):
     assert set(got) == {
         index[m] for m in basis if all(a <= b for a, b in zip(mono, m))
     }
+    assert multiple_columns(mono, degree) == tuple(got)
 

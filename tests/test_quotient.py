@@ -538,7 +538,13 @@ def test_strategy_and_form_validation():
     with pytest.raises(ValueError):
         LinearForm((0, 0, 0))
     assert fixed_candidate(3).coefficients == (1, -1, -1)
+    assert fixed_candidate(3) is fixed_candidate(3)
     assert fixed_candidate(2).as_text(("y", "z")) == "y - z"
+    form = LinearForm((7020, Fraction(1, 2), -2618))
+    for names in (None, ("u", "v", "w")):
+        text = form.to_poly().as_text(names)
+        assert form.as_text(names) == text  # rendered
+        assert form.as_text(names) == text  # read back from the cache
 
 
 def test_search_is_seed_deterministic():
