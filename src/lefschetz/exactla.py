@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
-A matrix is a sequence of sparse rows, one ``{column: value}`` dict of
-nonzero exact rationals per row.  Echelonization, rank and determinant
-clear denominators row by row and hand integer rows to
-:mod:`lefschetz.kernels`, so no rounding can occur anywhere in a verdict
-path.  The reduced echelon form is canonical for the row space, which makes
-ranks, pivot columns, and standard-monomial choices reproducible across
-runs.
+A :class:`RatMatrix` is a sequence of sparse rows, one ``{column: value}``
+dict of nonzero exact rationals per row; echelonization and rank read it.
+:func:`determinant` is the one dense reader: it takes a square matrix as
+dense rows, the form :func:`kernels.det_bareiss` reads.  All three clear
+denominators row by row and hand integer rows to :mod:`lefschetz.kernels`,
+so no rounding can occur anywhere in a verdict path.  The reduced echelon
+form is canonical for the row space, which makes ranks, pivot columns, and
+standard-monomial choices reproducible across runs.
 
 A value is a Python ``int`` when it is integral and a ``Fraction`` only
 where a real denominator appears.  Both are exact: ``int`` and ``Fraction``
@@ -15,8 +16,9 @@ and hashes like the integral ``Fraction`` it stands for, and a quotient is
 built as ``Fraction(n, d)`` or, when ``d`` divides ``n``, as ``n // d``.
 The one inexact operator, ``/`` between two ``int``, which returns a
 ``float``, is never used.  :func:`_coerce` is the one entry point: every
-value the :class:`RatMatrix` constructor stores that is not already an
-``int`` passes through it, so a matrix row either is all ``int`` or holds a
+value the :class:`RatMatrix` constructor stores, or :func:`determinant`
+reads from a matrix that is not all ``int``, passes through it unless it
+is already an ``int``, so a row either is all ``int`` or holds a
 ``Fraction`` whose denominator is above 1.
 Arithmetic on two ``Fraction`` values may still give an integral
 ``Fraction``; it is equally exact and is normalized the next time it
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from . import kernels
@@ -219,20 +222,33 @@ def kernel_basis(m: RatMatrix) -> list:
     return basis
 
 
-def determinant(m: RatMatrix):
-    n = m.cols
-    if len(m.rows) != n:
-        raise NotSquareError(f"matrix is {len(m.rows)}x{n}")
-    # scale each row to integers; the determinant scales by the product
+def determinant(rows):
+    """Exact determinant of a square matrix given as dense rows.
+
+    This is the one dense reader of the module: ``rows`` is a sequence of
+    ``n`` rows of ``n`` values each, the form :func:`kernels.det_bareiss`
+    reads, and is never modified.  One pass over the entries reads their
+    types.  Rows of ``int`` go to the kernel as they are (it works on a
+    copy).  Otherwise every value passes through :func:`_coerce`, and a row
+    that then holds a ``Fraction`` is scaled to integers by its
+    denominators' lcm; the determinant is divided by the product of those
+    lcms.  The result is an ``int`` or a ``Fraction``, never a ``float``.
+    """
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise NotSquareError(f"row {i} has {len(row)} entries, not {n}")
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return kernels.det_bareiss(rows)
     denom = 1
     dense = []
-    for row in m.rows:
-        mult, ints = _integer_row(row)
-        denom *= mult
-        line = [0] * n
-        for c, v in ints.items():
-            line[c] = v
-        dense.append(line)
+    for row in rows:
+        row = [_coerce(v) for v in row]
+        if Fraction in map(type, row):
+            mult = lcm(*(v.denominator for v in row))
+            denom *= mult
+            row = [v.numerator * (mult // v.denominator) for v in row]
+        dense.append(row)
     return _exact_quotient(kernels.det_bareiss(dense), denom)
 
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from itertools import islice, repeat
+from operator import neg
 
 from . import exactla
-from .exactla import RatMatrix
 from .polyring import HomogeneousPoly, IdealPresentation
 from .record import Record
 
@@ -229,13 +229,12 @@ class SnMatrix(Record):
             raise ValueError("last row must end with a positive entry")
         Record.__init__(self, size, upper, last_row)
 
-    def to_matrix(self) -> RatMatrix:
-        rows = [
-            {i: 1} | {j: -m for j, m in enumerate(upper, i + 1) if m}
-            for i, upper in enumerate(self.upper)
-        ]
-        rows.append(dict(enumerate(self.last_row)))
-        return RatMatrix(rows, self.size)
+    def rows(self) -> list:
+        """The matrix as dense integer rows, the form
+        :func:`exactla.determinant` reads."""
+        out = [[0] * i + [1, *map(neg, upper)] for i, upper in enumerate(self.upper)]
+        out.append(list(self.last_row))
+        return out
 
 
 class SnCheck(Record):
@@ -259,7 +258,7 @@ def sn_alpha(matrix: SnMatrix) -> tuple:
 
 def sn_det_identity(matrix: SnMatrix) -> SnCheck:
     """Compare the exact determinant against the accumulation value."""
-    det = exactla.determinant(matrix.to_matrix())
+    det = exactla.determinant(matrix.rows())
     alpha_last = sn_alpha(matrix)[-1]
     return SnCheck(det, alpha_last, det == alpha_last, det > 0)
 

@@ -1,8 +1,9 @@
 """Integer echelon kernels backing the exact linear algebra layer.
 
-Rows are sparse ``{column: value}`` mappings with nonzero integer values.
-``rref_int`` produces primitive, fully reduced rows; ``det_bareiss`` is a
-fraction-free determinant.
+``rref_int`` and ``rank_int`` read sparse ``{column: value}`` rows with
+nonzero integer values; ``rref_int`` produces primitive, fully reduced
+rows.  ``det_bareiss`` is a fraction-free determinant of dense integer
+rows.
 
 Echelonization is two passes.  The forward pass, ``_forward``, reduces each
 input row against the pivot rows found so far until it vanishes or has a
@@ -20,8 +21,8 @@ normalized.  Input rows are never modified and never returned.
 ``det_bareiss`` skips a row whose multiplier in the pivot column is already
 zero when the pivot equals the previous one: the update would leave it
 unchanged.  On the unit upper-triangular matrices with one dense bottom row of
-``family.SnMatrix`` every upper row is skipped at every step, so a
-determinant costs O(n^2) instead of O(n^3).
+``family.SnMatrix.rows`` every upper row is skipped at every step, so a
+determinant costs O(n^2), the size of its input, instead of O(n^3).
 """
 
 from math import gcd
@@ -125,11 +126,12 @@ def rref_int(rows):
 
 
 def det_bareiss(mat):
-    """Exact determinant of a square integer matrix given as row lists."""
+    """Exact determinant of a square integer matrix given as dense rows,
+    which are copied and never modified."""
     n = len(mat)
     if n == 0:
         return 1
-    m = [row[:] for row in mat]
+    m = [list(row) for row in mat]
     sign = 1
     prev = 1
     for k in range(n - 1):

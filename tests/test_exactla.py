@@ -9,6 +9,7 @@ from lefschetz import kernels
 from lefschetz.exactla import (
     NotSquareError,
     RatMatrix,
+    _coerce,
     determinant,
     kernel_basis,
     rank,
@@ -37,7 +38,7 @@ def matrices(max_dim=5):
 def test_identity_and_zero():
     eye = RatMatrix.identity(3)
     assert rank(eye) == 3
-    assert determinant(eye) == 1
+    assert determinant(eye.to_lists()) == 1
     assert rref(eye).rows == {i: {i: 1} for i in range(3)}
     zero = RatMatrix.zero(2, 4)
     assert rank(zero) == 0
@@ -79,10 +80,8 @@ def test_degree_two_slice_matrix_frozen():
 
 
 def test_determinant_rational_entries():
-    m = RatMatrix.from_rows(
-        [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
-    )
-    assert determinant(m) == Fraction(1, 60)
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
+    assert determinant(rows) == Fraction(1, 60)
 
 
 def test_determinant_int_and_mixed_rows_match_gauss():
@@ -96,16 +95,62 @@ def test_determinant_int_and_mixed_rows_match_gauss():
         rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
         if trial % 3 == 0:
             rows[rng.randrange(n)] = [0] * n
-        assert determinant(RatMatrix.from_rows(rows)) == gauss_det(rows)
+        assert determinant(rows) == gauss_det(rows)
     int_zero_row = [[1, -3, 5], [0, 0, 0], [4, 2, 9]]
-    assert determinant(RatMatrix.from_rows(int_zero_row)) == 0
+    assert determinant(int_zero_row) == 0
     mixed = [[2, Fraction(1, 3)], [Fraction(3, 4), -1]]
-    assert determinant(RatMatrix.from_rows(mixed)) == gauss_det(mixed)
+    assert determinant(mixed) == gauss_det(mixed)
 
 
 def test_determinant_requires_square():
-    with pytest.raises(NotSquareError):
-        determinant(RatMatrix.zero(2, 3))
+    for rows in (
+        RatMatrix.zero(2, 3).to_lists(),
+        [[1, 2], [3]],
+        [[1], [2, 3]],
+        [[1, 2, 3], [4, 5, 6], [7, 8]],
+        [[]],
+    ):
+        with pytest.raises(NotSquareError):
+            determinant(rows)
+    assert determinant([]) == 1
+
+
+def test_determinant_coerces_float_and_bool_entries():
+    # every non-int value is read as _coerce reads it, so the result is
+    # exact and never a float
+    cases = [
+        ([[0.5, 0], [0, 2]], 1),
+        ([[0.25, 0.5], [0.5, 3]], Fraction(1, 2)),
+        ([[True, False], [False, True]], 1),
+        ([[True, 2], [3, True]], -5),
+        ([[0.1, 0], [0, 1]], Fraction(0.1)),
+        ([[1.5, True], [Fraction(1, 3), 2.0]], Fraction(8, 3)),
+    ]
+    for rows, expected in cases:
+        det = determinant(rows)
+        coerced = [[_coerce(v) for v in row] for row in rows]
+        assert det == expected == gauss_det(coerced)
+        assert type(det) in (int, Fraction)
+        assert type(det) is int or det.denominator > 1
+
+
+def test_determinant_leaves_the_rows_unchanged():
+    rng = random.Random("det-rows-unchanged")
+    pool = (0, 1, -1, 3, 17, Fraction(1, 2), Fraction(-5, 3), 0.5, True)
+    for trial in range(100):
+        n = rng.randint(1, 6)
+        ints = trial % 2 == 0
+        rows = [
+            [rng.choice(pool[:5] if ints else pool) for _ in range(n)]
+            for _ in range(n)
+        ]
+        before = [list(row) for row in rows]
+        kinds = [[type(v) for v in row] for row in rows]
+        determinant(rows)
+        assert rows == before
+        assert [[type(v) for v in row] for row in rows] == kinds
+    tuples = ((2, 1), (7, 4))
+    assert determinant(tuples) == 1 and tuples == ((2, 1), (7, 4))
 
 
 def test_matmul_shape_mismatch():
@@ -261,11 +306,12 @@ def test_determinant_is_multiplicative(pair):
     a_rows, b_rows = pair
     a = RatMatrix.from_rows(a_rows)
     b = RatMatrix.from_rows(b_rows)
-    assert determinant(a @ b) == determinant(a) * determinant(b)
-    assert determinant(a) == laplace_det(a_rows)
+    product = (a @ b).to_lists()
+    assert determinant(product) == determinant(a_rows) * determinant(b_rows)
+    assert determinant(a_rows) == laplace_det(a_rows)
 
 
 def test_determinant_row_swap_flips_sign():
-    m = RatMatrix.from_rows([[0, 2], [3, 0]])
-    swapped = RatMatrix.from_rows([[3, 0], [0, 2]])
-    assert determinant(m) == -determinant(swapped) == Fraction(-6)
+    rows = [[0, 2], [3, 0]]
+    swapped = [[3, 0], [0, 2]]
+    assert determinant(rows) == -determinant(swapped) == Fraction(-6)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -21,6 +20,7 @@ from lefschetz.family import (
     validate,
 )
 from lefschetz.polyring import parse_ideal
+from value_oracles import gauss_det, laplace_det
 
 
 def test_validate_accepts_and_freezes():
@@ -173,10 +173,19 @@ def test_uncovered_params():
 
 def test_sn_matrix_layout():
     m = SnMatrix(2, ((3,),), (2, 1))
-    assert m.to_matrix().to_lists() == [
-        [Fraction(1), Fraction(-3)],
-        [Fraction(2), Fraction(1)],
+    assert m.rows() == [[1, -3], [2, 1]]
+    big = SnMatrix(4, ((5, 0, 2), (0, 7), (4,)), (3, 0, 1, 6))
+    rows = big.rows()
+    assert rows == [
+        [1, -5, 0, -2],
+        [0, 1, 0, -7],
+        [0, 0, 1, -4],
+        [3, 0, 1, 6],
     ]
+    assert {type(v) for row in rows for v in row} == {int}
+    # fresh lists on every call
+    rows[0][0] = 9
+    assert big.rows()[0][0] == 1
     assert sn_alpha(m) == (2, 7)
     check = sn_det_identity(m)
     assert check.det == 7 and check.equal and check.positive
@@ -246,6 +255,21 @@ def test_sn_alpha_matches_the_pull_formula():
                 total += pulled[i] * m.upper[i][j - i - 1]
             pulled.append(total)
         assert sn_alpha(m) == tuple(pulled)
+
+
+def test_sn_determinant_matches_independent_oracles():
+    # inside Bareiss only the bottom row is updated, along the same
+    # accumulation as sn_alpha, so det == alpha alone barely tests the
+    # kernel; Gaussian elimination and cofactor expansion share no code
+    # with it
+    rng = random.Random("sn-oracles")
+    for _ in range(150):
+        size = rng.randint(2, 12)
+        m = random_sn(size, rng.choice((1, 9, 99)), rng)
+        det = sn_det_identity(m).det
+        assert det == gauss_det(m.rows())
+        if size <= 6:
+            assert det == laplace_det(m.rows())
 
 
 def test_identity_on_random_batch():

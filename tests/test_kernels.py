@@ -204,7 +204,7 @@ def test_det_bareiss_sn_matrices_match_gaussian_elimination():
     rng = random.Random(10)
     for n in (2, 3, 5, 8, 13, 21, 30, 40):
         for max_entry in (1, 9, 99):
-            rows = random_sn(n, max_entry, rng).to_matrix().to_lists()
+            rows = random_sn(n, max_entry, rng).rows()
             assert kernels.det_bareiss(rows) == gauss_det(rows)
 
 

@@ -378,6 +378,39 @@ def test_premise_builds_only_the_lower_half():
         assert sorted(q._slices) == list(range(min(top // 2 + 1, top) + 1))
 
 
+def test_x_z_swap_pairs_share_h_and_middle_ranks():
+    """For a = c the swap x <-> z sends the ideal of (a, b, a, beta, gamma)
+    to that of (a, b, a, beta, b - gamma), so the two quotients are
+    isomorphic by the swap: equal h, and the middle map of a form l on the
+    first has the rank of the swapped form on the second.  The fixed form
+    x - y - z is not fixed by the swap: it goes to z - y - x.  Its own
+    ranks on the two quotients agree as well.  For even b that follows from
+    the sign change y -> -y, which fixes both ideals; for odd b it is only
+    measured, on these 225 pairs."""
+    rng = random.Random("x-z-swap")
+    forms = [fixed_candidate(3)] + [
+        LinearForm([rng.randint(-9, 9) for _ in range(3)]) for _ in range(2)
+    ]
+
+    def swapped(form):
+        return LinearForm(form.coefficients[::-1])
+
+    pairs = 0
+    for params in family.enumerate_params(6):
+        a, b, c, beta, gamma = params.as_tuple()
+        if a != c:
+            continue
+        q = family_quotient(params, premise=True)
+        mirror = family_quotient(family.validate(a, b, a, beta, b - gamma), True)
+        assert q.hilbert_data() == mirror.hilbert_data(), params.as_tuple()
+        for form in forms:
+            assert q.certify(form) == mirror.certify(swapped(form))
+        fixed = fixed_candidate(3)
+        assert q.certify(fixed) == mirror.certify(fixed)
+        pairs += 1
+    assert pairs == 225
+
+
 def test_wrong_socle_degree_is_caught():
     """A stated socle degree is checked only by necessary conditions.
 
