@@ -46,7 +46,8 @@ CACHE_ENV = "LEFSCHETZ_CACHE_DIR"
 # Last field of every sweep cache key.  Bump it in any change to what a
 # verdict path computes or records, so older lines are recomputed instead
 # of replayed.  Keys written before versioning have no such field.
-CACHE_VERSION = 1
+# Version 2: family SLP verdicts are ranked through the socle pairing.
+CACHE_VERSION = 2
 
 CSV_COLUMNS = (
     "a",

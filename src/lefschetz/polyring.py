@@ -321,12 +321,12 @@ def multiple_columns(mono: Monomial, degree: int) -> tuple:
     """The basis columns of the degree-d multiples of a monomial, in
     increasing order: the runs of :func:`column_runs`, joined.
 
-    Shared by every slice and multiplication table of a process, so the
-    columns of a generator's term are listed once per degree, not once per
-    ideal that has the term.  The 1,024 entries hold every pair that
-    ``sweep --a-max 7`` (425) or ``sweep --a-max 4 --slp`` (616) asks for,
-    and keep a long ad hoc scan from holding every degree.  Callers only
-    read the result.
+    Shared by every slice, multiplication table and socle pairing of a
+    process, so the columns of a generator's term are listed once per
+    degree, not once per ideal that has the term.  The 1,024 entries hold
+    every pair that ``sweep --a-max 7`` (425) or ``sweep --a-max 4 --slp``
+    (214) asks for, and keep a long ad hoc scan from holding every degree.
+    Callers only read the result.
     """
     return tuple(chain.from_iterable(column_runs(mono, degree)))
 

@@ -168,7 +168,7 @@ def _form_power(coefficients: tuple, power: int) -> HomogeneousPoly:
 # recently used first.  Neighbouring tuples of a sweep share their
 # low-degree generators, so most of their slices are equal.  With 128
 # entries `sweep --a-max 5` builds 360 of its 1,143 slices (343 distinct)
-# and `sweep --a-max 4 --slp` 236 of 421 (235 distinct); the table then
+# and `sweep --a-max 4 --slp` 160 of 346 (160 distinct); the table then
 # holds about 0.3 MB.  A larger bound saves few builds and keeps more
 # slices of ideals that share nothing, as a batch of ad hoc ideals does.
 _SHARED_SLICES = OrderedDict()
@@ -197,15 +197,18 @@ class GradedQuotient:
 
     ``socle_degree=D`` states that the quotient is known to be Artinian
     Gorenstein with socle degree D.  :meth:`hilbert_data` then builds only
-    the lower half of the Hilbert vector and mirrors the rest, and WLP is
-    decided by the single middle-degree map.  It is a fact about the input,
+    the lower half of the Hilbert vector and mirrors the rest, WLP is
+    decided by the single middle-degree map, and SLP by the socle pairing
+    (:meth:`_pairing_scan`), so neither builds a slice above
+    floor(D/2)+1 other than slice D.  It is a fact about the input,
     checked only by necessary conditions: the mirror checks of
     :meth:`hilbert_data`, the unimodality check of :meth:`_pairs` and the
-    target-slice check of :meth:`_checked_rank`.
+    check that the built slice D has h(D) = 1.
 
-    WLP and SLP share one scan: :meth:`_pairs` chooses the maps and names
-    the criterion (``middle``, ``narrow`` or ``full``), :meth:`_scan`
-    ranks them into :class:`MapRank` records, and :meth:`_search` returns a
+    WLP and SLP share one search: :meth:`_pairs` chooses the maps and names
+    the criterion (``middle``, ``narrow``, ``pairing`` or ``full``),
+    :meth:`_scan` or, for ``pairing``, :meth:`_pairing_scan` ranks them
+    into :class:`MapRank` records, and :meth:`_search` returns a
     :class:`LefschetzReport`.
     """
 
@@ -290,8 +293,8 @@ class GradedQuotient:
         and no built value may be zero, else
         :class:`NotGorensteinShapeError`.  That guard is necessary, not
         sufficient: a wrong D can still pass it, e.g. when the vector is
-        flat around the middle.  The rank helpers then check each target
-        slice they build against the mirrored value.
+        flat around the middle.  The SLP path then checks that the built
+        slice D has a single standard monomial (:meth:`_socle_functional`).
         """
         if self._hilbert is None:
             top = self.socle_degree
@@ -390,18 +393,6 @@ class GradedQuotient:
             self.slice(degree + power),
         )
 
-    def _checked_rank(self, form: LinearForm, degree: int, power: int) -> int:
-        """Rank of multiplication by ``form**power`` out of ``degree``, after
-        checking that the target slice it builds has the h value of
-        :meth:`hilbert_data`, which may be a mirrored one."""
-        m = self.multiplication_matrix(form, degree, power)
-        expected = self.hilbert_data().h[degree + power]
-        if len(m.rows) != expected:
-            raise NotGorensteinShapeError(
-                f"h({degree + power}) is {len(m.rows)}, not {expected}"
-            )
-        return exactla.rank(m)
-
     def _pairs(self, strong: bool) -> tuple:
         """(criterion, [(power, degree), ...]): the maps ×ℓ^power:
         A_degree -> A_{degree+power} whose ranks decide WLP, or SLP when
@@ -437,12 +428,17 @@ class GradedQuotient:
         Any other Hilbert vector scans every power and compatible degree
         (``full``).  So the fixed-then-random search visits the same forms
         and returns the same verdict and certificate as the full scan.
+        With ``socle_degree=D`` the mirrored vector is palindromic, and the
+        premise licenses ranking the same square maps through the socle
+        pairing instead (``pairing``, :meth:`_pairing_scan`), which builds
+        no slice above floor(D/2)+1 other than slice D.
         """
         data = self.hilbert_data()
         h, top = data.h, data.socle_degree
         if strong:
             if h == h[::-1]:
-                return "narrow", [(top - 2 * d, d) for d in range((top + 1) // 2)]
+                criterion = "narrow" if self.socle_degree is None else "pairing"
+                return criterion, [(top - 2 * d, d) for d in range((top + 1) // 2)]
             return "full", [
                 (p, d) for p in range(1, top + 1) for d in range(top - p + 1)
             ]
@@ -456,18 +452,93 @@ class GradedQuotient:
             )
         return "middle", pairs
 
-    def _scan(self, form: LinearForm, pairs) -> tuple:
-        """(holds, records): one :class:`MapRank` per (power, degree) pair,
-        maximal when the rank is the smaller of the two dimensions."""
+    def _records(self, pairs, ranks) -> tuple:
+        """(holds, records): one :class:`MapRank` per (power, degree) pair
+        and its rank, maximal when the rank is the smaller of the two
+        dimensions."""
         h = self.hilbert_data().h
         per = []
-        for power, d in pairs:
-            r = self._checked_rank(form, d, power)
+        for (power, d), r in zip(pairs, ranks):
             dim_from, dim_to = h[d], h[d + power]
             per.append(
                 MapRank(d, power, dim_from, dim_to, r, r == min(dim_from, dim_to))
             )
         return all(rec.maximal for rec in per), tuple(per)
+
+    def _scan(self, form: LinearForm, pairs) -> tuple:
+        """(holds, records) with each map ranked by its multiplication
+        matrix."""
+        return self._records(
+            pairs,
+            (
+                exactla.rank(self.multiplication_matrix(form, d, power))
+                for power, d in pairs
+            ),
+        )
+
+    def _socle_functional(self) -> list:
+        """φ: R_D -> K, the coordinate of a degree-D residue on the one
+        standard monomial s of slice D, as one value per degree-D basis
+        column: 1 at s, 0 at a dead column, whose monomial lies in the
+        ideal, and -row[s] at a pivot column.  A reduced row is 1 at its
+        pivot and its other entries sit on standard columns, here s alone,
+        so the pivot monomial is congruent to -row[s]·s modulo the slice.
+
+        Raises :class:`NotGorensteinShapeError` unless slice D has exactly
+        one standard monomial, as the socle of a Gorenstein quotient of
+        socle degree D does.
+        """
+        top = self.socle_degree
+        sl = self.slice(top)
+        if len(sl.standard_columns) != 1:
+            raise NotGorensteinShapeError(
+                f"h({top}) is {len(sl.standard_columns)}, not 1"
+            )
+        (s,) = sl.standard_columns
+        phi = [0] * len(sl.basis)
+        phi[s] = 1
+        for pcol, row in sl.echelon.rows.items():
+            phi[pcol] = -row.get(s, 0)
+        return phi
+
+    def _pairing_scan(self, form: LinearForm, pairs) -> tuple:
+        """(holds, records) for the square maps ×ℓ^{D-2i}: A_i -> A_{D-i}
+        of :meth:`_pairs`, ranked through the socle pairing.
+
+        Let M = ×ℓ^{D-2i} and P: A_{D-i} -> (A_i)^*, P(w)(u) = φ(u·w),
+        with φ from :meth:`_socle_functional`.  The Gram matrix
+        G_i[u, v] = φ(ℓ^{D-2i}·u·v) over the standard monomials u, v of
+        A_i is the matrix of P∘M, so rank G_i <= rank M for any quotient:
+        a nonsingular G_i proves M bijective even if the premise is false.
+        Under the premise P is the perfect pairing of a Gorenstein quotient
+        (Maeno-Watanabe, Illinois J. Math. 53 (2009)), an isomorphism, so
+        rank G_i = rank M and the records are those of :meth:`_scan`.
+
+        Φ_j(w) = φ(ℓ^j·w), on the degree-(D-j) basis, follows from
+        Φ_j(w) = Σ_v ℓ_v·Φ_{j-1}(w·x_v), one degree at a time, so no power
+        of ℓ is expanded and no product is reduced.
+        """
+        nvars, top = self.ideal.nvars, self.socle_degree
+        # x_v's coefficient and the degree-one basis are both in variable order
+        terms = [
+            (c, x) for c, x in zip(form.coefficients, monomial_basis(nvars, 1)) if c
+        ]
+        phi = self._socle_functional()
+        levels = {}
+        for j in range(1, max((power for power, _ in pairs), default=0) + 1):
+            # the k-th multiple of x_v is x_v times the k-th basis monomial
+            parts = [
+                [c * phi[k] for k in multiple_columns(x, top - j + 1)]
+                for c, x in terms
+            ]
+            phi = levels[j] = list(map(sum, zip(*parts)))
+        ranks = []
+        for power, d in pairs:
+            phi, table = levels[power], _product_columns(nvars, d, d)
+            std = self.slice(d).standard_columns
+            gram = [{k: phi[table[u][v]] for k, v in enumerate(std)} for u in std]
+            ranks.append(exactla.rank(RatMatrix(gram, len(std))))
+        return self._records(pairs, ranks)
 
     def certify(self, form: LinearForm) -> tuple:
         """WLP test of one form over the maps of :meth:`_pairs`."""
@@ -475,7 +546,10 @@ class GradedQuotient:
 
     def certify_powers(self, form: LinearForm) -> tuple:
         """SLP test of one form over the maps of :meth:`_pairs`."""
-        return self._scan(form, self._pairs(strong=True)[1])
+        criterion, pairs = self._pairs(strong=True)
+        if criterion == "pairing":
+            return self._pairing_scan(form, pairs)
+        return self._scan(form, pairs)
 
     def _search(self, strong: bool, strategy: SearchStrategy | None):
         """Try the fixed candidate, then ``strategy.trials`` random forms.

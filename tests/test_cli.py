@@ -330,6 +330,28 @@ def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):
     assert (code, again, err) == (0, out, "")
 
 
+def test_sweep_cache_recomputes_version_one_slp_lines(capsys, tmp_path):
+    # version 1 ranked family SLP maps by multiplication matrices
+    assert cli.CACHE_VERSION == 2
+    cache = tmp_path / "sweep.jsonl"
+    argv = ["sweep", "--a-max", "2", "--slp"]
+    code, fresh, _ = run(argv, capsys)
+    assert code == 0
+    good = json_lines(fresh)[0]
+    wrong = dict(good, slp_verdict="FAILS_PROBABLY")
+    cfg = cli.SweepConfig(a_max=2, slp=True)
+    current = list(cli._cache_key((2, 2, 2, 1, 1), cfg))
+    old = current[:9] + [1]
+    cache.write_text(json.dumps({"key": old, "record": wrong}) + "\n")
+    code, out, err = run(argv + ["--cache", str(cache)], capsys)
+    assert code == 0
+    assert _strip_ms(json_lines(out)) == _strip_ms([good])
+    assert err == (
+        f"warning: skipped 1 line(s) from another cache version in cache {cache}\n"
+    )
+    assert json.loads(cache.read_text().splitlines()[-1])["key"] == current
+
+
 def test_sweep_bad_strategy_exit_three(capsys):
     # no tuple is uncovered at a = 2, so only the config check can object
     for flag, message in (("--trials", "trials"), ("--bound", "bound")):

@@ -417,11 +417,11 @@ def test_wrong_socle_degree_is_caught():
     On (3, 3, 3, 1, 1), h = 1 3 6 6 3 1, the slice built past the middle
     differs from its mirror for D - 1 and D + 1.  On the flat vector
     h = 1 3 3 3 1 of (4, 2, 2, 1, 1) both pass that guard, as they do on
-    11 of the 200 tuples with a <= 5; there the SLP square map into the
-    mirrored degree builds a slice of the wrong size, which the rank
-    helper rejects.  The monomial ideal x^3, x^2*y, x^2*z, x*y^2, x*y*z
-    passes the mirror check for D = 6 with h = 1 3 6 5 6 3 1, which rises
-    past the middle and so cannot be a codimension-three Gorenstein vector.
+    11 of the 200 tuples with a <= 5; there the SLP pairing reads slice D,
+    which has 3 standard monomials for D = 3 and none for D = 5, not 1.
+    The monomial ideal x^3, x^2*y, x^2*z, x*y^2, x*y*z passes the mirror
+    check for D = 6 with h = 1 3 6 5 6 3 1, which rises past the middle
+    and so cannot be a codimension-three Gorenstein vector.
     """
     params = family.validate(3, 3, 3, 1, 1)
     for socle in (4, 6):
@@ -481,6 +481,96 @@ def test_narrow_criteria_match_full_scans_on_random_forms(family_a4, key, coeffs
     assert_criteria_agree(plain, flagged, LinearForm(coeffs))
 
 
+def pairing_and_scan(q, form):
+    """SLP records of a premise quotient by the socle pairing and by
+    multiplication matrices over the same square maps."""
+    criterion, pairs = q._pairs(True)
+    assert criterion == "pairing"
+    return q.certify_powers(form), q._scan(form, pairs)
+
+
+def test_pairing_matches_matrix_scan_on_family():
+    rng = random.Random("pairing")
+    x, y, z = LinearForm((1, 0, 0)), LinearForm((0, 1, 0)), LinearForm((0, 0, 1))
+    forms = [fixed_candidate(3), x, y, z, LinearForm((1, 1, 0))] + [
+        LinearForm([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3)])
+        for _ in range(2)
+    ]
+    checks = 0
+    verdicts = set()
+    for params in family.enumerate_params(5):
+        q = family_quotient(params, premise=True)
+        for form in forms:
+            pairing, scan = pairing_and_scan(q, form)
+            assert pairing == scan, (params.as_tuple(), form)
+            verdicts.add(pairing[0])
+            checks += 1
+    assert checks == 1400 and verdicts == {True, False}
+
+
+def test_pairing_reads_fractions_off_the_socle_slice():
+    # a complete intersection, so Gorenstein with socle degree 3 + 3 + 3 - 3
+    q = GradedQuotient(
+        parse_ideal("x^3 + 2*y^3, y^3 + 3*z^3, z^3 - 5*x*y*z"), socle_degree=6
+    )
+    assert q.hilbert_data().h == (1, 3, 6, 7, 6, 3, 1)
+    rows = q.slice(6).echelon.rows.values()
+    assert any(type(v) is Fraction for row in rows for v in row.values())
+    forms = [fixed_candidate(3), LinearForm((2, Fraction(1, 3), -1))]
+    forms += [LinearForm((1, 0, 0)), LinearForm((0, 1, -1))]
+    for form in forms:
+        pairing, scan = pairing_and_scan(q, form)
+        assert pairing == scan, form
+
+
+@pytest.mark.parametrize(
+    "text,names,socle",
+    [
+        ("x^4", "x", 3),
+        ("x^3, y^4", "xy", 5),
+        ("x^2 - y^2, x*y", "xy", 2),
+        ("x^2 + 3*y*w, y^2 - 2*z*w, z^2 + x*y, w^2 + 5*x*z", "xyzw", 4),
+        ("x, y, z", "xyz", 0),
+    ],
+)
+def test_pairing_matches_matrix_scan_in_any_variable_count(text, names, socle):
+    n = len(names)
+    ideal = parse_ideal(text, nvars=n, names=tuple(names))
+    q = GradedQuotient(ideal, socle_degree=socle)
+    forms = [fixed_candidate(n), LinearForm([3] + [0] * (n - 1))]
+    forms.append(LinearForm([Fraction(k + 1, 2) for k in range(n)]))
+    for form in forms:
+        pairing, scan = pairing_and_scan(q, form)
+        assert pairing == scan, form
+
+
+def test_pairing_is_sound_without_the_premise():
+    """The Gram matrix of the pairing factors through ×ℓ^{D-2i}, so its rank
+    never exceeds the map's, even on a quotient that is not Gorenstein.
+    On ``x^2, x*y, y^3, z^3`` (h = 1 3 4 3 1) it is strictly smaller."""
+    rng = random.Random("socle-killed")
+    forms = [fixed_candidate(3)] + [
+        LinearForm([rng.choice((-1, 1)) * rng.randint(1, 99) for _ in range(3)])
+        for _ in range(20)
+    ]
+    gaps = 0
+    for text, h in (
+        (SOCLE_KILLED_IDEAL, (1, 3, 3, 3, 1)),
+        ("x^2, x*y, y^3, z^3", (1, 3, 4, 3, 1)),
+    ):
+        q = GradedQuotient(parse_ideal(text), socle_degree=4)
+        assert q.hilbert_data().h == h
+        for form in forms:
+            holds, records = q.certify_powers(form)
+            assert holds == all(rec.maximal for rec in records)
+            for rec in records:
+                r = rank(q.multiplication_matrix(form, rec.degree, rec.power))
+                assert rec.rank <= r
+                assert not rec.maximal or r == min(rec.dim_from, rec.dim_to)
+                gaps += rec.rank < r
+    assert gaps > 0
+
+
 def test_family_searches_name_their_criterion(family_a4):
     plain, flagged = family_a4[(3, 2, 2, 1, 1)]
     middle, full = flagged.check_wlp(), plain.check_wlp()
@@ -490,9 +580,10 @@ def test_family_searches_name_their_criterion(family_a4):
     )
     assert middle.verdict == full.verdict == HOLDS
     assert middle.certificate_form == full.certificate_form
-    # x - y - z fails SLP here, so the narrow search certifies a random form
+    # x - y - z fails SLP here, so the pairing search certifies a random form
     slp = flagged.check_slp()
-    assert slp.strategy["criterion"] == "narrow"
+    assert slp.strategy["criterion"] == "pairing"
+    assert plain.check_slp().strategy["criterion"] == "narrow"
     assert slp.verdict == HOLDS and slp.strategy["certificate"] == "random"
     assert not full_power_scan(plain, fixed_candidate(3))
     assert full_power_scan(plain, slp.certificate_form)
