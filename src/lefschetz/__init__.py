@@ -10,7 +10,7 @@ reports), and ``cli`` (the ``lefschetz`` command).
 
 __version__ = "0.1.0"
 
-from .exactla import EchelonForm, RatMatrix  # noqa: F401
+from .exactla import EchelonForm  # noqa: F401
 from .polyring import HomogeneousPoly, IdealPresentation  # noqa: F401
 from .quotient import GradedQuotient, LinearForm  # noqa: F401
 from .family import GorensteinParams, build_ci, build_ideal, classify, validate  # noqa: F401

@@ -23,7 +23,7 @@ from math import comb
 from operator import add
 
 from . import exactla
-from .exactla import EchelonForm, RatMatrix, _coerce
+from .exactla import EchelonForm, _coerce
 from .record import Record
 
 Monomial = tuple
@@ -405,7 +405,7 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     # the reduced echelon form is unique: the full matrix has exactly these
     # rows, its pivots are the dead columns and the pivots of ``echelon``,
     # and its standard monomials are the ones kept here.
-    ech = exactla.rref(RatMatrix(rows, len(basis))) if rows else EchelonForm({})
+    ech = exactla.rref(rows) if rows else EchelonForm({})
     pivots = ech.rows
     dead = frozenset(dead)
     standard_cols = tuple(

@@ -16,7 +16,7 @@ from collections import OrderedDict
 from itertools import product
 
 from . import exactla
-from .exactla import RatMatrix, _coerce
+from .exactla import _coerce
 from .polyring import (
     HomogeneousPoly,
     IdealPresentation,
@@ -248,9 +248,9 @@ class GradedQuotient:
             # generator of higher degree, so the slice reads nothing else,
             # and the coefficients are exact, with an ``int`` equal to and
             # hashing like the integral ``Fraction`` it stands for, which
-            # the :class:`RatMatrix` built from the rows coerces to the same
-            # ``int``.  So equal keys give equal slices.  ``dead`` is a
-            # ``frozenset`` and callers only read a slice.
+            # :func:`exactla._integer_row` coerces to the same ``int`` before
+            # a kernel reads the rows.  So equal keys give equal slices.
+            # ``dead`` is a ``frozenset`` and callers only read a slice.
             key = (
                 self.ideal.nvars,
                 degree,
@@ -371,12 +371,13 @@ class GradedQuotient:
 
     def multiplication_matrix(
         self, form: LinearForm, degree: int, power: int = 1
-    ) -> RatMatrix:
+    ) -> tuple:
         """Matrix of multiplication by ``form**power`` from the degree-d
-        standard-monomial basis to the degree-(d+power) one.
+        standard-monomial basis to the degree-(d+power) one, as its rows.
 
-        Rows are indexed by the target basis, columns by the source basis, so
-        the shape is h(d+power) by h(d).
+        There is one sparse ``{column: value}`` row per target standard
+        monomial, h(d+power) in all with empty rows kept, and column j is
+        the j-th source standard monomial, so every column is below h(d).
         """
         if degree < 0 or power < 1:
             raise ValueError("need degree >= 0 and power >= 1")
@@ -519,6 +520,8 @@ class GradedQuotient:
         of ℓ is expanded and no product is reduced.
         """
         nvars, top = self.ideal.nvars, self.socle_degree
+        if form.nvars != nvars:
+            raise ValueError("form variable count mismatch")
         # x_v's coefficient and the degree-one basis are both in variable order
         terms = [
             (c, x) for c, x in zip(form.coefficients, monomial_basis(nvars, 1)) if c
@@ -537,7 +540,7 @@ class GradedQuotient:
             phi, table = levels[power], _product_columns(nvars, d, d)
             std = self.slice(d).standard_columns
             gram = [{k: phi[table[u][v]] for k, v in enumerate(std)} for u in std]
-            ranks.append(exactla.rank(RatMatrix(gram, len(std))))
+            ranks.append(exactla.rank(gram))
         return self._records(pairs, ranks)
 
     def certify(self, form: LinearForm) -> tuple:
@@ -645,11 +648,11 @@ def _product_columns(nvars: int, degree: int, power: int) -> tuple:
 
 def _multiply_into(
     source_columns, degree: int, poly: HomogeneousPoly, target
-) -> RatMatrix:
-    """Multiply-then-reduce: column j is the residue of ``poly`` times the
-    degree-``degree`` basis monomial at column ``source_columns[j]``, modulo
-    the slice ``target`` of degree ``degree + poly.degree``, on the rows of
-    its standard columns.
+) -> tuple:
+    """Multiply-then-reduce, as a tuple of sparse rows: column j is the
+    residue of ``poly`` times the degree-``degree`` basis monomial at column
+    ``source_columns[j]``, modulo the slice ``target`` of degree
+    ``degree + poly.degree``, on one row per standard column of ``target``.
 
     Each product vector pairs the source's row of :func:`_product_columns`
     with ``poly``'s coefficients on its degree basis, 0 for absent terms;
@@ -664,7 +667,7 @@ def _multiply_into(
         rem = target.residue(dict(zip(table[s], coeffs)))
         for col, value in rem.items():
             rows[col][j] = value
-    return RatMatrix(rows.values(), len(source_columns))
+    return tuple(rows.values())
 
 
 def residue_membership(ideal: IdealPresentation, degree: int) -> list:

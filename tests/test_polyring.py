@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import exactla
-from lefschetz.exactla import RatMatrix
 from lefschetz.polyring import (
     HomogeneousPoly,
     IdealPresentation,
@@ -309,7 +308,7 @@ def _generic_slice_echelon(ideal, degree):
             rows.append(
                 {index[t]: c for t, c in g.multiply_monomial(m).terms.items()}
             )
-    return exactla.rref(RatMatrix(rows, len(basis)))
+    return exactla.rref(rows)
 
 
 _COEFFS = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(bool)

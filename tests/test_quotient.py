@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lefschetz import family
-from lefschetz.exactla import RatMatrix, rank
+from lefschetz.exactla import rank
 from lefschetz.polyring import (
     HomogeneousPoly,
     IdealPresentation,
@@ -159,24 +159,54 @@ def test_cap_enforced():
 def test_multiplication_by_ideal_member_is_zero():
     q = quotient_of("x, y^3, z^3")
     m = q.multiplication_matrix(LinearForm((1, 0, 0)), 1, 1)
-    assert m.rows == ({},) * q.hilbert(2) and m.cols == q.hilbert(1)
+    assert m == ({},) * q.hilbert(2)
 
 
 def test_multiplication_matrix_frozen_example():
     q = quotient_of("x^2, y^2 - x*z, z^2, x*y, y*z")
     m = q.multiplication_matrix(fixed_candidate(3), 1, 1)
-    assert (len(m.rows), m.cols) == (1, 3)
-    assert m.to_lists() == [[Fraction(-1), Fraction(-1), Fraction(1)]]
+    assert m == ({0: -1, 1: -1, 2: 1},)
+
+
+def test_multiplication_matrix_shape():
+    """One row per target standard monomial, h(d+power) in all, empty rows
+    kept, and every column below h(d): the shape is the rows' count and the
+    source dimension."""
+    empty = 0
+    for text, coeffs in (
+        (BK_IDEAL, (1, -1, -1)),
+        ("x, y^3, z^3", (1, 0, 0)),  # x kills the quotient: all rows empty
+        ("x^2 - y*z, y^3, x*z^2, z^4", (0, Fraction(1, 3), 1)),
+        ("x^2, x*y, x*z, y^3, y^2*z^2, z^4", (1, 1, 0)),
+    ):
+        q = quotient_of(text, cap=6)
+        form = LinearForm(coeffs)
+        for power in range(1, 5):
+            for degree in range(6 - power + 1):
+                m = q.multiplication_matrix(form, degree, power)
+                assert type(m) is tuple and len(m) == q.hilbert(degree + power)
+                assert all(0 <= j < q.hilbert(degree) for row in m for j in row)
+                empty += m.count({})
+    assert empty > 0
 
 
 def test_power_matrix_composes():
+    """×ℓ² on A_1 is ×ℓ on A_2 after ×ℓ on A_1: row i of the composite is
+    the sum over j of (×ℓ on A_2)[i][j] times row j of ×ℓ on A_1."""
     q = quotient_of("x^3, y^3, z^3")
     form = LinearForm((1, 2, -1))
     squared = q.multiplication_matrix(form, 1, 2)
-    step = q.multiplication_matrix(form, 2, 1) @ q.multiplication_matrix(
-        form, 1, 1
-    )
-    assert squared == step
+    first = q.multiplication_matrix(form, 1, 1)
+    second = q.multiplication_matrix(form, 2, 1)
+    step = []
+    for row in second:
+        acc = {}
+        for j, a in row.items():
+            for k, b in first[j].items():
+                acc[k] = acc.get(k, 0) + a * b
+        step.append({k: v for k, v in acc.items() if v})
+    assert squared == tuple(step)
+    assert any(squared)
 
 
 def test_multiplication_rank_matches_box_oracle():
@@ -211,7 +241,7 @@ def _naive_multiplication_matrix(q, form, degree, power):
         vec = {index[mono_mul(t, mono)]: c for t, c in poly.terms.items()}
         for col, value in target.residue(vec).items():
             rows[col][j] = value
-    return RatMatrix(rows.values(), len(source.standard_monomials))
+    return tuple(rows.values())
 
 
 @st.composite
@@ -571,6 +601,18 @@ def test_pairing_is_sound_without_the_premise():
     assert gaps > 0
 
 
+@pytest.mark.parametrize("coeffs", [(1, -1), (1, -1, -1, 5)])
+def test_forms_of_the_wrong_size_are_rejected(coeffs):
+    # the pairing path zipped the form with the variables and read a prefix
+    params = family.validate(4, 3, 3, 1, 1)
+    form = LinearForm(coeffs)
+    for premise in (True, False):
+        q = family_quotient(params, premise)
+        for scan in (q.certify, q.certify_powers):
+            with pytest.raises(ValueError, match="form variable count mismatch"):
+                scan(form)
+
+
 def test_family_searches_name_their_criterion(family_a4):
     plain, flagged = family_a4[(3, 2, 2, 1, 1)]
     middle, full = flagged.check_wlp(), plain.check_wlp()
@@ -710,6 +752,8 @@ def test_family_values_stay_int(params, coeffs, as_fractions):
         assert all(map(_exact, q.quotient_vector(poly).values()))
         for d in range(top - power + 1):
             m = q.multiplication_matrix(form, d, power)
-            for row in m.rows:
+            for row in m:
                 assert all(map(_exact, row.values()))
-            assert rank(m) == naive_rank(m.to_lists())
+            cols = q.hilbert(d)
+            dense = [[row.get(j, 0) for j in range(cols)] for row in m]
+            assert rank(m) == naive_rank(dense)
