@@ -47,7 +47,9 @@ CACHE_ENV = "LEFSCHETZ_CACHE_DIR"
 # verdict path computes or records, so older lines are recomputed instead
 # of replayed.  Keys written before versioning have no such field.
 # Version 2: family SLP verdicts are ranked through the socle pairing.
-CACHE_VERSION = 2
+# Version 3: its functional is read off family.socle_monomials, and each
+# Gram matrix is tested by its determinant before any rank.
+CACHE_VERSION = 3
 
 CSV_COLUMNS = (
     "a",
@@ -123,15 +125,12 @@ def _verdict_record(
     of the Gorenstein algebra R/J by the annihilator of an element is again
     Gorenstein.  R/J has socle degree a+b+c-3, and the socle degree of
     R/(J : f) is (a+b+c-3) - deg f, which is ``params.socle_degree``.  So
-    the Hilbert vector is mirrored from its lower half and WLP is decided
-    by the middle-degree criterion.
+    the Hilbert vector is mirrored from its lower half, WLP is decided by
+    the middle-degree criterion, and SLP by the socle pairing with the
+    functional of :func:`family.socle_monomials`.
     """
     start = perf_counter()
-    q = GradedQuotient(
-        family.build_ideal(params),
-        degree_cap=params.a + params.b + params.c,
-        socle_degree=params.socle_degree,
-    )
+    q = family.FamilyQuotient(params)
     data = q.hilbert_data()
     coverage = family.classify(params)
     strategy = SearchStrategy(

@@ -18,7 +18,8 @@ from itertools import islice, repeat
 from operator import neg
 
 from . import exactla
-from .polyring import HomogeneousPoly, IdealPresentation
+from .polyring import HomogeneousPoly, IdealPresentation, _basis_index
+from .quotient import GradedQuotient
 from .record import Record
 
 
@@ -117,6 +118,68 @@ def build_ideal(params: GorensteinParams) -> IdealPresentation:
             HomogeneousPoly.monomial(3, (0, p.b - p.beta, p.c - p.gamma)),
         ),
     )
+
+
+def socle_monomials(params: GorensteinParams) -> tuple:
+    """The degree-D monomials t_q = x^(a-1-q(b-gamma)) y^((q+1)b-1-beta)
+    z^(c-1-q gamma), q >= 0 while every exponent is nonnegative.
+
+    The socle functional phi: R_D -> K of the family quotient A = R/I is 1
+    on each t_q and 0 on every other degree-D monomial:
+
+    - Under lex y > x > z the generators x^a, y^b - x^(b-gamma) z^gamma and
+      z^c of the complete intersection J are a Groebner basis, because
+      their leading terms x^a, y^b and z^c are pairwise coprime
+      (Buchberger's first criterion).  Replacing y^b by x^(b-gamma)
+      z^gamma until the y exponent is below b, and dropping the monomial
+      once its x exponent reaches a or its z exponent reaches c, sends a
+      monomial to 0 or to one box monomial x^i y^j z^k (i < a, j < b,
+      k < c) with coefficient 1, and that is its normal form NF_J.
+    - Let phi(f) be the coefficient of NF_J(y^beta f) on the corner
+      x^(a-1) y^(b-1) z^(c-1).  Then y^beta x^i y^j z^k reduces to the
+      corner exactly when j + beta = (q+1)b - 1, i + q(b-gamma) = a - 1 and
+      k + q gamma = c - 1 for some q >= 0, that is, for the monomial t_q.
+    - phi vanishes on I_D: NF_J is linear and 0 on J, and y^beta times
+      each of the five generators of I lies in J.  It is plain for x^a,
+      y^b - x^(b-gamma) z^gamma and z^c; y^beta x^(a-b+gamma) y^(b-beta) is
+      x^a z^gamma modulo J, and y^beta y^(b-beta) z^(c-gamma) is
+      x^(b-gamma) z^c.
+    - phi(t_0) = 1, so phi is nonzero on A_D.
+
+    So phi is a nonzero functional on A_D, with no premise on A.  When A
+    is Gorenstein of socle degree D, A_D is one-dimensional and phi spans
+    its dual, as the functional read off slice D does.
+    """
+    a, b, c, beta, gamma = params.as_tuple()
+    out = []
+    x, z = a - 1, c - 1
+    y = b - 1 - beta
+    while x >= 0 and z >= 0:
+        out.append((x, y, z))
+        x, y, z = x - (b - gamma), y + b, z - gamma
+    return tuple(out)
+
+
+class FamilyQuotient(GradedQuotient):
+    """The quotient R/I of a family tuple, stated Gorenstein with socle
+    degree ``params.socle_degree``, whose socle pairing reads phi off
+    :func:`socle_monomials` instead of slice D."""
+
+    def __init__(self, params: GorensteinParams):
+        GradedQuotient.__init__(
+            self,
+            build_ideal(params),
+            degree_cap=params.a + params.b + params.c,
+            socle_degree=params.socle_degree,
+        )
+        self.params = params
+
+    def _socle_functional(self) -> list:
+        index = _basis_index(3, self.socle_degree)
+        phi = [0] * len(index)
+        for t in socle_monomials(self.params):
+            phi[index[t]] = 1
+        return phi
 
 
 _FLAG_NAMES = (

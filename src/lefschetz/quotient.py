@@ -200,10 +200,13 @@ class GradedQuotient:
     the lower half of the Hilbert vector and mirrors the rest, WLP is
     decided by the single middle-degree map, and SLP by the socle pairing
     (:meth:`_pairing_scan`), so neither builds a slice above
-    floor(D/2)+1 other than slice D.  It is a fact about the input,
-    checked only by necessary conditions: the mirror checks of
-    :meth:`hilbert_data`, the unimodality check of :meth:`_pairs` and the
-    check that the built slice D has h(D) = 1.
+    floor(D/2)+1 other than slice D, which :meth:`_socle_functional`
+    reads.  A subclass that knows the functional in closed form overrides
+    that one method and builds no slice above floor(D/2)+1 at all, as
+    :class:`lefschetz.family.FamilyQuotient` does.  The premise is a fact
+    about the input, checked only by necessary conditions: the mirror
+    checks of :meth:`hilbert_data`, the unimodality check of :meth:`_pairs`
+    and, where slice D is read, the check that it has h(D) = 1.
 
     WLP and SLP share one search: :meth:`_pairs` chooses the maps and names
     the criterion (``middle``, ``narrow``, ``pairing`` or ``full``),
@@ -294,7 +297,8 @@ class GradedQuotient:
         :class:`NotGorensteinShapeError`.  That guard is necessary, not
         sufficient: a wrong D can still pass it, e.g. when the vector is
         flat around the middle.  The SLP path then checks that the built
-        slice D has a single standard monomial (:meth:`_socle_functional`).
+        slice D has a single standard monomial (:meth:`_socle_functional`),
+        unless a subclass gives the functional without slice D.
         """
         if self._hilbert is None:
             top = self.socle_degree
@@ -381,8 +385,7 @@ class GradedQuotient:
         """
         if degree < 0 or power < 1:
             raise ValueError("need degree >= 0 and power >= 1")
-        if form.nvars != self.ideal.nvars:
-            raise ValueError("form variable count mismatch")
+        self._check_form(form)
         if degree + power > self.degree_cap:
             raise CapExceededError(
                 f"degree {degree + power} exceeds the cap {self.degree_cap}"
@@ -432,7 +435,8 @@ class GradedQuotient:
         With ``socle_degree=D`` the mirrored vector is palindromic, and the
         premise licenses ranking the same square maps through the socle
         pairing instead (``pairing``, :meth:`_pairing_scan`), which builds
-        no slice above floor(D/2)+1 other than slice D.
+        no slice above floor(D/2)+1 other than the slice D that
+        :meth:`_socle_functional` may read.
         """
         data = self.hilbert_data()
         h, top = data.h, data.socle_degree
@@ -515,13 +519,17 @@ class GradedQuotient:
         (Maeno-Watanabe, Illinois J. Math. 53 (2009)), an isomorphism, so
         rank G_i = rank M and the records are those of :meth:`_scan`.
 
+        G_i is square and dense, and most are nonsingular (190 of the 194
+        that x - y - z gives at a <= 4), so each is built as dense rows and
+        tested by :func:`exactla.determinant`, which runs faster on dense
+        rows than the sparse rank kernel.  A nonzero determinant gives
+        rank h_i; only a singular G_i is ranked by :func:`exactla.rank`.
+
         Φ_j(w) = φ(ℓ^j·w), on the degree-(D-j) basis, follows from
         Φ_j(w) = Σ_v ℓ_v·Φ_{j-1}(w·x_v), one degree at a time, so no power
         of ℓ is expanded and no product is reduced.
         """
         nvars, top = self.ideal.nvars, self.socle_degree
-        if form.nvars != nvars:
-            raise ValueError("form variable count mismatch")
         # x_v's coefficient and the degree-one basis are both in variable order
         terms = [
             (c, x) for c, x in zip(form.coefficients, monomial_basis(nvars, 1)) if c
@@ -539,16 +547,25 @@ class GradedQuotient:
         for power, d in pairs:
             phi, table = levels[power], _product_columns(nvars, d, d)
             std = self.slice(d).standard_columns
-            gram = [{k: phi[table[u][v]] for k, v in enumerate(std)} for u in std]
-            ranks.append(exactla.rank(gram))
+            gram = [[phi[table[u][v]] for v in std] for u in std]
+            if exactla.determinant(gram):
+                ranks.append(len(std))
+            else:
+                ranks.append(exactla.rank(dict(enumerate(row)) for row in gram))
         return self._records(pairs, ranks)
+
+    def _check_form(self, form: LinearForm) -> None:
+        if form.nvars != self.ideal.nvars:
+            raise ValueError("form variable count mismatch")
 
     def certify(self, form: LinearForm) -> tuple:
         """WLP test of one form over the maps of :meth:`_pairs`."""
+        self._check_form(form)
         return self._scan(form, self._pairs(strong=False)[1])
 
     def certify_powers(self, form: LinearForm) -> tuple:
         """SLP test of one form over the maps of :meth:`_pairs`."""
+        self._check_form(form)
         criterion, pairs = self._pairs(strong=True)
         if criterion == "pairing":
             return self._pairing_scan(form, pairs)

@@ -330,9 +330,9 @@ def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):
     assert (code, again, err) == (0, out, "")
 
 
-def test_sweep_cache_recomputes_version_one_slp_lines(capsys, tmp_path):
-    # version 1 ranked family SLP maps by multiplication matrices
-    assert cli.CACHE_VERSION == 2
+def assert_recomputes_old_slp_line(capsys, tmp_path, version):
+    """A sweep --slp line under cache ``version`` is recomputed, not
+    replayed, and the record is appended under the current key."""
     cache = tmp_path / "sweep.jsonl"
     argv = ["sweep", "--a-max", "2", "--slp"]
     code, fresh, _ = run(argv, capsys)
@@ -341,7 +341,7 @@ def test_sweep_cache_recomputes_version_one_slp_lines(capsys, tmp_path):
     wrong = dict(good, slp_verdict="FAILS_PROBABLY")
     cfg = cli.SweepConfig(a_max=2, slp=True)
     current = list(cli._cache_key((2, 2, 2, 1, 1), cfg))
-    old = current[:9] + [1]
+    old = current[:9] + [version]
     cache.write_text(json.dumps({"key": old, "record": wrong}) + "\n")
     code, out, err = run(argv + ["--cache", str(cache)], capsys)
     assert code == 0
@@ -350,6 +350,19 @@ def test_sweep_cache_recomputes_version_one_slp_lines(capsys, tmp_path):
         f"warning: skipped 1 line(s) from another cache version in cache {cache}\n"
     )
     assert json.loads(cache.read_text().splitlines()[-1])["key"] == current
+
+
+def test_sweep_cache_recomputes_version_one_slp_lines(capsys, tmp_path):
+    # version 1 ranked family SLP maps by multiplication matrices
+    assert cli.CACHE_VERSION == 3
+    assert_recomputes_old_slp_line(capsys, tmp_path, 1)
+
+
+def test_sweep_cache_recomputes_version_two_slp_lines(capsys, tmp_path):
+    # version 2 read the socle functional off slice D and ranked every Gram
+    # matrix with the sparse kernel
+    assert cli.CACHE_VERSION == 3
+    assert_recomputes_old_slp_line(capsys, tmp_path, 2)
 
 
 def test_sweep_bad_strategy_exit_three(capsys):

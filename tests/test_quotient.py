@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz import family
+from lefschetz import exactla, family
 from lefschetz.exactla import rank
 from lefschetz.polyring import (
     HomogeneousPoly,
@@ -520,6 +520,9 @@ def pairing_and_scan(q, form):
 
 
 def test_pairing_matches_matrix_scan_on_family():
+    """Both sources of the socle functional, slice D of the generic
+    quotient and :func:`family.socle_monomials`, give the records of the
+    matrix scan."""
     rng = random.Random("pairing")
     x, y, z = LinearForm((1, 0, 0)), LinearForm((0, 1, 0)), LinearForm((0, 0, 1))
     forms = [fixed_candidate(3), x, y, z, LinearForm((1, 1, 0))] + [
@@ -530,12 +533,95 @@ def test_pairing_matches_matrix_scan_on_family():
     verdicts = set()
     for params in family.enumerate_params(5):
         q = family_quotient(params, premise=True)
+        fq = family.FamilyQuotient(params)
         for form in forms:
             pairing, scan = pairing_and_scan(q, form)
             assert pairing == scan, (params.as_tuple(), form)
+            assert fq.certify_powers(form) == scan, (params.as_tuple(), form)
             verdicts.add(pairing[0])
             checks += 1
     assert checks == 1400 and verdicts == {True, False}
+
+
+def test_family_socle_functional_is_the_slice_d_functional():
+    """φ read off :func:`family.socle_monomials` is a nonzero multiple of
+    the functional read off slice D, for every tuple with a <= 6."""
+    tuples = 0
+    for params in family.enumerate_params(6):
+        fq = family.FamilyQuotient(params)
+        (s,) = fq.slice(params.socle_degree).standard_columns
+        generic = GradedQuotient._socle_functional(fq)
+        phi = fq._socle_functional()
+        assert phi[s] != 0, params.as_tuple()
+        assert phi == [phi[s] * v for v in generic], params.as_tuple()
+        tuples += 1
+    assert tuples == 525
+
+
+def test_socle_monomials_of_one_tuple():
+    # (5, 4, 3, 1, 2): D = 8, t_q = x^(4-2q) y^(2+4q) z^(2-2q) for q = 0, 1
+    params = family.validate(5, 4, 3, 1, 2)
+    assert family.socle_monomials(params) == ((4, 2, 2), (2, 6, 0))
+    for t in family.socle_monomials(params):
+        assert sum(t) == params.socle_degree
+
+
+def test_singular_grams_are_ranked_by_the_fallback(monkeypatch):
+    """A Gram matrix with determinant 0 is ranked by :func:`exactla.rank`.
+    With x - y - z four Grams at a <= 4 are singular, two of them of rank
+    above 0; every other Gram is nonsingular and ranked by its size."""
+    fixed = fixed_candidate(3)
+    fallback = []
+
+    def counted_rank(rows):
+        r = rank(rows)
+        fallback.append(r)
+        return r
+
+    singular = {}
+    for key in FAMILY_A4:
+        fq = family.FamilyQuotient(family.validate(*key))
+        fallback.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(exactla, "rank", counted_rank)
+            pairing = fq.certify_powers(fixed)
+        assert pairing == fq._scan(fixed, fq._pairs(True)[1]), key
+        short = [(r.dim_from, r.rank) for r in pairing[1] if not r.maximal]
+        assert [r for _, r in short] == fallback, key
+        if fallback:
+            singular[key] = short
+    assert singular == {
+        (3, 2, 2, 1, 1): [(1, 0)],
+        (3, 2, 3, 1, 1): [(3, 2)],
+        (4, 3, 3, 2, 2): [(1, 0)],
+        (4, 3, 4, 2, 2): [(6, 5)],
+    }
+
+
+def test_family_slp_ranks_match_the_x_z_swap():
+    """For a = c the swap σ of x and z maps the quotient of
+    (a, b, a, beta, gamma) onto that of (a, b, a, beta, b - gamma), so the
+    square map of ℓ on the first has the rank of σℓ on the second, on the
+    family path as on the scan path."""
+    rng = random.Random("x-z-swap-slp")
+    forms = [fixed_candidate(3)] + [
+        LinearForm([rng.randint(-9, 9) for _ in range(3)]) for _ in range(2)
+    ]
+    checks = 0
+    for params in family.enumerate_params(6):
+        a, b, c, beta, gamma = params.as_tuple()
+        if a != c:
+            continue
+        fq = family.FamilyQuotient(params)
+        mirror = family.FamilyQuotient(family.validate(a, b, a, beta, b - gamma))
+        for form in forms:
+            swapped = LinearForm(form.coefficients[::-1])
+            assert fq.certify_powers(form) == mirror.certify_powers(swapped), (
+                params.as_tuple(),
+                form,
+            )
+            checks += 1
+    assert checks == 675
 
 
 def test_pairing_reads_fractions_off_the_socle_slice():
@@ -606,11 +692,30 @@ def test_forms_of_the_wrong_size_are_rejected(coeffs):
     # the pairing path zipped the form with the variables and read a prefix
     params = family.validate(4, 3, 3, 1, 1)
     form = LinearForm(coeffs)
-    for premise in (True, False):
-        q = family_quotient(params, premise)
+    quotients = [family_quotient(params, premise) for premise in (True, False)]
+    for q in quotients + [family.FamilyQuotient(params)]:
         for scan in (q.certify, q.certify_powers):
             with pytest.raises(ValueError, match="form variable count mismatch"):
                 scan(form)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 2), (1, 2, 3, 4)])
+def test_form_size_is_checked_with_no_map_to_rank(coeffs):
+    # A = K has no map to rank, so only the entry check sees the form
+    form = LinearForm(coeffs)
+    for socle in (None, 0):
+        q = GradedQuotient(parse_ideal("x, y, z"), socle_degree=socle)
+        assert q.hilbert_data().h == (1,)
+        for scan in (q.certify, q.certify_powers):
+            with pytest.raises(ValueError, match="form variable count mismatch"):
+                scan(form)
+    # the form is checked before the Hilbert scan, which raises here
+    q = GradedQuotient(parse_ideal("x^2, y^2"))
+    for scan in (q.certify, q.certify_powers):
+        with pytest.raises(ValueError, match="form variable count mismatch"):
+            scan(form)
+        with pytest.raises(NotArtinianWithinCapError):
+            scan(fixed_candidate(3))
 
 
 def test_family_searches_name_their_criterion(family_a4):
