@@ -49,7 +49,8 @@ CACHE_ENV = "LEFSCHETZ_CACHE_DIR"
 # Version 2: family SLP verdicts are ranked through the socle pairing.
 # Version 3: its functional is read off family.socle_monomials, and each
 # Gram matrix is tested by its determinant before any rank.
-CACHE_VERSION = 3
+# Version 4: the Hilbert vector is counted by family.hilbert_vector.
+CACHE_VERSION = 4
 
 CSV_COLUMNS = (
     "a",
@@ -125,9 +126,9 @@ def _verdict_record(
     of the Gorenstein algebra R/J by the annihilator of an element is again
     Gorenstein.  R/J has socle degree a+b+c-3, and the socle degree of
     R/(J : f) is (a+b+c-3) - deg f, which is ``params.socle_degree``.  So
-    the Hilbert vector is mirrored from its lower half, WLP is decided by
-    the middle-degree criterion, and SLP by the socle pairing with the
-    functional of :func:`family.socle_monomials`.
+    the Hilbert vector is counted by :func:`family.hilbert_vector`, WLP is
+    decided by the middle-degree criterion, and SLP by the socle pairing
+    with the functional of :func:`family.socle_monomials`.
     """
     start = perf_counter()
     q = family.FamilyQuotient(params)

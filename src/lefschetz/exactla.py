@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
 A matrix is its rows: an iterable of sparse ``{column: value}`` dicts, the
-form slices, multiplication matrices and Gram matrices are built in.
-:func:`rref` and :func:`rank` read such rows; :func:`determinant` is the one
-dense reader: it takes a square matrix as dense rows, the form
-:func:`kernels.det_bareiss` reads.  :func:`_integer_row` is the one place
-that turns exact values into the nonzero integers the kernels of
-:mod:`lefschetz.kernels` read, so no rounding can occur anywhere in a
-verdict path.  The reduced echelon form is canonical for the row space,
-which makes ranks, pivot columns, and standard-monomial choices
-reproducible across runs.
+form slices and multiplication matrices are built in, read by :func:`rref`
+and :func:`rank`.  :func:`determinant`, the one dense reader, takes square
+dense rows, as :func:`kernels.det_bareiss` does; Gram matrices are built
+so, and only a singular one goes to :func:`rank`, as sparse
+rows.  :func:`_integer_row` is the one place that turns exact values into
+the nonzero integers the kernels of :mod:`lefschetz.kernels` read, so no
+rounding can occur anywhere in a verdict path.  The reduced echelon form is
+canonical for the row space, which makes ranks, pivot columns, and
+standard-monomial choices reproducible across runs.
 
 A value is a Python ``int`` when it is integral and a ``Fraction`` only
 where a real denominator appears.  Both are exact: ``int`` and ``Fraction``

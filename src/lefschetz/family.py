@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from itertools import islice, repeat
-from operator import neg
+from itertools import accumulate, islice, repeat
+from operator import neg, sub
 
 from . import exactla
 from .polyring import HomogeneousPoly, IdealPresentation, _basis_index
-from .quotient import GradedQuotient
+from .quotient import GradedQuotient, HilbertData
 from .record import Record
 
 
@@ -160,10 +160,58 @@ def socle_monomials(params: GorensteinParams) -> tuple:
     return tuple(out)
 
 
+def _diagonals(p: int, q: int) -> list:
+    """Entry s is #{(i, k) : i + k = s, 0 <= i < p, 0 <= k < q}, for the
+    degrees s = 0..p+q-2 where it is positive."""
+    return [min(s + 1, p, q, p + q - 1 - s) for s in range(p + q - 1)]
+
+
+def _y_windows(xz: list, width: int) -> list:
+    """Entry s is xz[s] + xz[s-1] + ... + xz[s-width+1], entries below 0
+    counting 0: the number of degree-s monomials x^i y^j z^k with
+    j < width whose x, z part is one of the xz[s-j] of degree s - j."""
+    sums = list(accumulate(xz))
+    return list(map(sub, sums, [0] * width + sums[: len(sums) - width]))
+
+
+def _hilbert_terms(params: GorensteinParams) -> tuple:
+    """(dims of R/J, dims of R/(J + y^beta)) in degrees 0..a+b+c-3: the sums
+    over j < b of ac(s-j) = #{i < a, k < c, i + k = s-j}, and over j < beta
+    of N(s-j), ac less the corner count; see :func:`hilbert_vector`."""
+    a, b, c, beta, gamma = params.as_tuple()
+    ac = _diagonals(a, c) + [0] * (b - 1)
+    # the x^i z^k with i >= b-gamma and k >= gamma: x^(b-gamma) z^gamma
+    # times a box of sides a-b+gamma and c-gamma
+    corner = [0] * b + _diagonals(a - b + gamma, c - gamma) + [0] * (b - 1)
+    return _y_windows(ac, b), _y_windows(list(map(sub, ac, corner)), beta)
+
+
+def hilbert_vector(params: GorensteinParams) -> tuple:
+    """The Hilbert values h(0..D) of the family quotient A = R/I, counted.
+
+    Let J = (x^a, y^b - x^(b-gamma) z^gamma, z^c), so that I = J : y^beta
+    and multiplication by y^beta gives the exact sequence
+    0 -> A(-beta) -> R/J -> R/(J + y^beta) -> 0.  As beta < b, y^b lies in
+    (y^beta), so J + (y^beta) = (x^a, z^c, y^beta, x^(b-gamma) z^gamma) is
+    monomial.  The leading terms x^a, y^b and z^c of J are pairwise coprime
+    under lex y > x > z, so R/J has the box basis x^i y^j z^k, i < a,
+    j < b, k < c, of the complete intersection.  Hence
+
+        h(d) = #box(a, b, c)_(d+beta) - sum_(j < beta) N(d + beta - j),
+
+    where N(s) counts the pairs (i, k) with i + k = s, i < a, k < c and not
+    both i >= b-gamma and k >= gamma.  Each term is a window sum, over the
+    y exponent j, of such interval counts (:func:`_hilbert_terms`).
+    """
+    box, monomial = _hilbert_terms(params)
+    beta = params.beta
+    return tuple(map(sub, box[beta:], monomial[beta:]))
+
+
 class FamilyQuotient(GradedQuotient):
     """The quotient R/I of a family tuple, stated Gorenstein with socle
-    degree ``params.socle_degree``, whose socle pairing reads phi off
-    :func:`socle_monomials` instead of slice D."""
+    degree ``params.socle_degree``, with h from :func:`hilbert_vector` and
+    phi from :func:`socle_monomials`, so that neither builds a slice."""
 
     def __init__(self, params: GorensteinParams):
         GradedQuotient.__init__(
@@ -173,6 +221,10 @@ class FamilyQuotient(GradedQuotient):
             socle_degree=params.socle_degree,
         )
         self.params = params
+        self._hilbert = HilbertData(hilbert_vector(params))
+
+    def hilbert_data(self) -> HilbertData:
+        return self._hilbert
 
     def _socle_functional(self) -> list:
         index = _basis_index(3, self.socle_degree)

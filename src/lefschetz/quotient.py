@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import OrderedDict
 from itertools import product
 
 from . import exactla
@@ -41,10 +40,10 @@ class CapExceededError(ValueError):
 
 
 class NotGorensteinShapeError(ValueError):
-    """A built slice contradicts the Hilbert vector mirrored from a stated
-    socle degree, or that vector rises past its middle degree, so the
-    quotient cannot be Gorenstein of that shape in codimension three and
-    the middle-degree criterion is void."""
+    """The scanned Hilbert vector does not end at a stated socle degree, is
+    not palindromic, or rises past its middle degree, so the quotient
+    cannot be Gorenstein of that shape in codimension three and the
+    middle-degree criterion is void."""
 
 
 class LinearForm(Record):
@@ -153,26 +152,15 @@ def _random_form(rng: random.Random, nvars: int, bound: int) -> LinearForm:
 def _form_power(coefficients: tuple, power: int) -> HomogeneousPoly:
     """The ``power``-th power of the linear form with these coefficients.
 
-    Shared by every quotient in the process, so a sweep builds the powers of
-    the fixed candidate once instead of once per tuple.  Sixty-four entries
-    hold a whole chain (at most 25 powers for a <= 7) plus the random forms
-    of a search.  Callers only read the result.
+    Shared by every quotient in the process.  Family verdicts ask only for
+    power 1; the premise-free SLP scan asks for a whole chain (at most 25
+    powers for a <= 7), which sixty-four entries hold with the random
+    forms of a search.  Callers only read the result.
     """
     linear = LinearForm(coefficients).to_poly()
     if power == 1:
         return linear
     return _form_power(coefficients, power - 1) * linear
-
-
-# The process-wide slice table of :meth:`GradedQuotient.slice`, least
-# recently used first.  Neighbouring tuples of a sweep share their
-# low-degree generators, so most of their slices are equal.  With 128
-# entries `sweep --a-max 5` builds 360 of its 1,143 slices (343 distinct)
-# and `sweep --a-max 4 --slp` 160 of 346 (160 distinct); the table then
-# holds about 0.3 MB.  A larger bound saves few builds and keeps more
-# slices of ideals that share nothing, as a batch of ad hoc ideals does.
-_SHARED_SLICES = OrderedDict()
-_SHARED_SLICES_MAX = 128
 
 
 def _value_at(poly: HomogeneousPoly, point: tuple):
@@ -196,17 +184,15 @@ class GradedQuotient:
     echelonize each degree once.
 
     ``socle_degree=D`` states that the quotient is known to be Artinian
-    Gorenstein with socle degree D.  :meth:`hilbert_data` then builds only
-    the lower half of the Hilbert vector and mirrors the rest, WLP is
-    decided by the single middle-degree map, and SLP by the socle pairing
-    (:meth:`_pairing_scan`), so neither builds a slice above
-    floor(D/2)+1 other than slice D, which :meth:`_socle_functional`
-    reads.  A subclass that knows the functional in closed form overrides
-    that one method and builds no slice above floor(D/2)+1 at all, as
-    :class:`lefschetz.family.FamilyQuotient` does.  The premise is a fact
-    about the input, checked only by necessary conditions: the mirror
-    checks of :meth:`hilbert_data`, the unimodality check of :meth:`_pairs`
-    and, where slice D is read, the check that it has h(D) = 1.
+    Gorenstein with socle degree D.  WLP is then decided by the single
+    middle-degree map, and SLP by the socle pairing (:meth:`_pairing_scan`)
+    with the functional that :meth:`_socle_functional` reads off slice D.
+    The premise is a fact about the input, checked only by necessary
+    conditions: the Hilbert scan of :meth:`hilbert_data` must end at D
+    with a palindromic vector, and :meth:`_pairs` checks unimodality.
+    :class:`lefschetz.family.FamilyQuotient` overrides both methods with
+    closed forms, so a family verdict builds only the slices of the maps
+    it ranks.
 
     WLP and SLP share one search: :meth:`_pairs` chooses the maps and names
     the criterion (``middle``, ``narrow``, ``pairing`` or ``full``),
@@ -225,49 +211,23 @@ class GradedQuotient:
             degree_cap = sum(g.degree for g in ideal.generators)
         if degree_cap < 1:
             raise ValueError("degree cap must be positive")
-        if socle_degree is not None and not 0 <= socle_degree <= degree_cap:
-            raise ValueError("socle degree must lie between 0 and the cap")
+        if socle_degree is not None and not 0 <= socle_degree < degree_cap:
+            raise ValueError("socle degree must be at least 0 and below the cap")
         self.ideal = ideal
         self.degree_cap = degree_cap
         self.socle_degree = socle_degree
         self._slices = {}
         self._hilbert = None
-        # a frozen copy of the generators, the key of the shared slice table
-        self._frozen = tuple(
-            (g.degree, tuple(g.terms.items())) for g in ideal.generators
-        )
 
     def slice(self, degree: int):
-        """The degree-``degree`` slice, from this quotient's own cache, else
-        from the process-wide table ``_SHARED_SLICES``, else built."""
+        """The degree-``degree`` slice, built once per quotient."""
         if degree > self.degree_cap:
             raise CapExceededError(
                 f"degree {degree} exceeds the cap {self.degree_cap}"
             )
         sl = self._slices.get(degree)
         if sl is None:
-            # The key holds the generators of degree at most ``degree``, as
-            # frozen copies.  That is sound: :func:`slice_rows` skips every
-            # generator of higher degree, so the slice reads nothing else,
-            # and the coefficients are exact, with an ``int`` equal to and
-            # hashing like the integral ``Fraction`` it stands for, which
-            # :func:`exactla._integer_row` coerces to the same ``int`` before
-            # a kernel reads the rows.  So equal keys give equal slices.
-            # ``dead`` is a ``frozenset`` and callers only read a slice.
-            key = (
-                self.ideal.nvars,
-                degree,
-                tuple(g for g in self._frozen if g[0] <= degree),
-            )
-            sl = _SHARED_SLICES.get(key)
-            if sl is None:
-                sl = ideal_degree_slice(self.ideal, degree)
-                _SHARED_SLICES[key] = sl
-                if len(_SHARED_SLICES) > _SHARED_SLICES_MAX:
-                    _SHARED_SLICES.popitem(last=False)
-            else:
-                _SHARED_SLICES.move_to_end(key)
-            self._slices[degree] = sl
+            sl = self._slices[degree] = ideal_degree_slice(self.ideal, degree)
         return sl
 
     def hilbert(self, degree: int) -> int:
@@ -279,7 +239,7 @@ class GradedQuotient:
     def hilbert_data(self) -> HilbertData:
         """Hilbert values through the socle degree.
 
-        Without a stated socle degree, slices are built from degree 0 up.
+        Slices are built one degree at a time, from degree 0 up.
         Raises :class:`NotArtinianWithinCapError` when no zero value appears
         by the cap; once a graded piece vanishes every later one does, so the
         first zero ends the scan.  It raises before building any slice when
@@ -288,32 +248,22 @@ class GradedQuotient:
         variables, when every generator vanishes at a point with coordinates
         in {-1, 0, 1}, tried first on {0,1}^n.
 
-        With ``socle_degree=D`` the quotient A is Artinian Gorenstein, so
-        multiplication A_d x A_{D-d} -> A_D, a one-dimensional space, is a
-        perfect pairing and h(d) = h(D-d) (Stanley, Adv. Math. 28 (1978)).
-        Only slices 0..min(floor(D/2)+1, D) are built; h(d) for larger d is
-        h(D-d).  The one slice built past the middle must equal its mirror,
-        and no built value may be zero, else
-        :class:`NotGorensteinShapeError`.  That guard is necessary, not
-        sufficient: a wrong D can still pass it, e.g. when the vector is
-        flat around the middle.  The SLP path then checks that the built
-        slice D has a single standard monomial (:meth:`_socle_functional`),
-        unless a subclass gives the functional without slice D.
+        With ``socle_degree=D`` A is stated Artinian Gorenstein, so
+        A_d x A_{D-d} -> A_D is a perfect pairing and h(d) = h(D-d)
+        (Stanley, Adv. Math. 28 (1978)).  :class:`NotGorensteinShapeError`
+        is raised unless the scan, which the cap lets reach D+1, ends at D
+        with h palindromic, so h(D) = h(0) = 1: necessary, not sufficient.
         """
         if self._hilbert is None:
+            data = self._scan_hilbert()
             top = self.socle_degree
-            if top is None:
-                self._hilbert = self._scan_hilbert()
-            else:
-                built = min(top // 2 + 1, top)
-                lower = [self.hilbert(d) for d in range(built + 1)]
-                if lower[built] == 0 or lower[built] != lower[top - built]:
-                    raise NotGorensteinShapeError(
-                        f"Hilbert values {tuple(lower)} do not fit "
-                        f"socle degree {top}"
-                    )
-                upper = [lower[top - d] for d in range(built + 1, top + 1)]
-                self._hilbert = HilbertData(tuple(lower + upper))
+            if top is not None and (
+                data.socle_degree != top or data.h != data.h[::-1]
+            ):
+                raise NotGorensteinShapeError(
+                    f"Hilbert values {data.h} do not fit socle degree {top}"
+                )
+            self._hilbert = data
         return self._hilbert
 
     def _scan_hilbert(self) -> HilbertData:
@@ -432,11 +382,11 @@ class GradedQuotient:
         Any other Hilbert vector scans every power and compatible degree
         (``full``).  So the fixed-then-random search visits the same forms
         and returns the same verdict and certificate as the full scan.
-        With ``socle_degree=D`` the mirrored vector is palindromic, and the
-        premise licenses ranking the same square maps through the socle
-        pairing instead (``pairing``, :meth:`_pairing_scan`), which builds
-        no slice above floor(D/2)+1 other than the slice D that
-        :meth:`_socle_functional` may read.
+        With ``socle_degree=D`` the vector of :meth:`hilbert_data` is
+        palindromic, and the premise licenses ranking the same square maps
+        through the socle pairing instead (``pairing``,
+        :meth:`_pairing_scan`), which builds no slice above floor(D/2)
+        other than the slice D that :meth:`_socle_functional` may read.
         """
         data = self.hilbert_data()
         h, top = data.h, data.socle_degree
@@ -488,17 +438,10 @@ class GradedQuotient:
         ideal, and -row[s] at a pivot column.  A reduced row is 1 at its
         pivot and its other entries sit on standard columns, here s alone,
         so the pivot monomial is congruent to -row[s]·s modulo the slice.
-
-        Raises :class:`NotGorensteinShapeError` unless slice D has exactly
-        one standard monomial, as the socle of a Gorenstein quotient of
-        socle degree D does.
+        Slice D has one standard monomial because :meth:`hilbert_data`,
+        which :meth:`_pairs` reads first, checked h(D) = h(0) = 1.
         """
-        top = self.socle_degree
-        sl = self.slice(top)
-        if len(sl.standard_columns) != 1:
-            raise NotGorensteinShapeError(
-                f"h({top}) is {len(sl.standard_columns)}, not 1"
-            )
+        sl = self.slice(self.socle_degree)
         (s,) = sl.standard_columns
         phi = [0] * len(sl.basis)
         phi[s] = 1
@@ -543,10 +486,12 @@ class GradedQuotient:
                 for c, x in terms
             ]
             phi = levels[j] = list(map(sum, zip(*parts)))
-        ranks = []
+        h, ranks = self.hilbert_data().h, []
         for power, d in pairs:
             phi, table = levels[power], _product_columns(nvars, d, d)
-            std = self.slice(d).standard_columns
+            # h(d) = dim R_d means I_d = 0, so every column is standard
+            full = h[d] == len(monomial_basis(nvars, d))
+            std = range(h[d]) if full else self.slice(d).standard_columns
             gram = [[phi[table[u][v]] for v in std] for u in std]
             if exactla.determinant(gram):
                 ranks.append(len(std))

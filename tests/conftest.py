@@ -22,9 +22,8 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def _fresh_shared_tables():
-    # The process-wide slice, column and form-text tables would let one
-    # test's results serve another's lookups, past any wrapper it installs.
-    quotient._SHARED_SLICES.clear()
+    # The process-wide column and form tables would let one test's results
+    # serve another's lookups, past any wrapper it installs.
     for table in (
         polyring.multiple_columns,
         quotient.fixed_candidate,

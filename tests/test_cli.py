@@ -330,9 +330,15 @@ def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):
     assert (code, again, err) == (0, out, "")
 
 
-def assert_recomputes_old_slp_line(capsys, tmp_path, version):
-    """A sweep --slp line under cache ``version`` is recomputed, not
-    replayed, and the record is appended under the current key."""
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_sweep_cache_recomputes_old_slp_lines(capsys, tmp_path, version):
+    """A sweep --slp line under an older cache version is recomputed, not
+    replayed, and the record is appended under the current key.  Version 1
+    ranked family SLP maps by multiplication matrices, version 2 read the
+    socle functional off slice D and ranked every Gram matrix with the
+    sparse kernel, and version 3 mirrored the Hilbert vector from its
+    lower half."""
+    assert cli.CACHE_VERSION == 4
     cache = tmp_path / "sweep.jsonl"
     argv = ["sweep", "--a-max", "2", "--slp"]
     code, fresh, _ = run(argv, capsys)
@@ -350,19 +356,6 @@ def assert_recomputes_old_slp_line(capsys, tmp_path, version):
         f"warning: skipped 1 line(s) from another cache version in cache {cache}\n"
     )
     assert json.loads(cache.read_text().splitlines()[-1])["key"] == current
-
-
-def test_sweep_cache_recomputes_version_one_slp_lines(capsys, tmp_path):
-    # version 1 ranked family SLP maps by multiplication matrices
-    assert cli.CACHE_VERSION == 3
-    assert_recomputes_old_slp_line(capsys, tmp_path, 1)
-
-
-def test_sweep_cache_recomputes_version_two_slp_lines(capsys, tmp_path):
-    # version 2 read the socle functional off slice D and ranked every Gram
-    # matrix with the sparse kernel
-    assert cli.CACHE_VERSION == 3
-    assert_recomputes_old_slp_line(capsys, tmp_path, 2)
 
 
 def test_sweep_bad_strategy_exit_three(capsys):

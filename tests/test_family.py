@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lefschetz.family import (
     ACOrderError,
@@ -9,10 +11,12 @@ from lefschetz.family import (
     GorensteinParams,
     ParameterError,
     SnMatrix,
+    _hilbert_terms,
     build_ci,
     build_ideal,
     classify,
     enumerate_params,
+    hilbert_vector,
     random_sn,
     sn_alpha,
     sn_det_identity,
@@ -20,7 +24,13 @@ from lefschetz.family import (
     validate,
 )
 from lefschetz.polyring import parse_ideal
-from value_oracles import gauss_det, laplace_det
+from lefschetz.quotient import GradedQuotient
+from value_oracles import (
+    ci_hilbert,
+    gauss_det,
+    laplace_det,
+    monomial_quotient_dims,
+)
 
 
 def test_validate_accepts_and_freezes():
@@ -169,6 +179,42 @@ def test_uncovered_params():
     uncovered8 = set(p.as_tuple() for p in uncovered_params(8))
     assert (8, 7, 6, 3, 2) in uncovered8
     assert (7, 7, 6, 2, 3) in uncovered8
+
+
+def test_hilbert_vector_matches_the_scan():
+    count = 0
+    for p in enumerate_params(7):
+        q = GradedQuotient(build_ideal(p), degree_cap=p.a + p.b + p.c)
+        assert hilbert_vector(p) == q.hilbert_data().h, p.as_tuple()
+        count += 1
+    assert count == 1176
+
+
+@st.composite
+def family_params(draw, a_max=12):
+    a = draw(st.integers(2, a_max))
+    b = draw(st.integers(2, 2 * a - 2))
+    c = draw(st.integers(max(2, b - a + 2), a))
+    beta = draw(st.integers(1, b - 1))
+    gamma = draw(st.integers(max(1, b - a + 1), min(b - 1, c - 1)))
+    return validate(a, b, c, beta, gamma)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_params())
+def test_hilbert_terms_match_the_oracles(p):
+    """The two terms of h(d) = #box_(d+beta) - dim R/(J + y^beta)_(d+beta)
+    against the complete intersection's generating function and a count
+    of the monomials outside (x^a, z^c, y^beta, x^(b-gamma) z^gamma)."""
+    a, b, c, beta, gamma = p.as_tuple()
+    top = a + b + c - 3
+    box, monomial = _hilbert_terms(p)
+    assert box == ci_hilbert(a, b, c)[: top + 1]
+    generators = [(a, 0, 0), (0, 0, c), (0, beta, 0), (b - gamma, 0, gamma)]
+    assert monomial == monomial_quotient_dims(generators, 3, top)
+    # and past the scanned sizes, h keeps the Gorenstein shape
+    h = hilbert_vector(p)
+    assert len(h) == p.socle_degree + 1 and h[0] == 1 and h == h[::-1]
 
 
 def test_sn_matrix_layout():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lefschetz import exactla, family
+from lefschetz import exactla, family, polyring, quotient
 from lefschetz.exactla import rank
 from lefschetz.polyring import (
     HomogeneousPoly,
@@ -151,7 +151,8 @@ def test_cap_enforced():
         q.slice(4)
     with pytest.raises(CapExceededError):
         q.multiplication_matrix(fixed_candidate(3), 3, 1)
-    for socle in (-1, 4):
+    # the Hilbert scan must reach h(D+1) = 0 within the cap
+    for socle in (-1, 3, 4):
         with pytest.raises(ValueError):
             GradedQuotient(parse_ideal("x^2, y^2, z^2"), 3, socle_degree=socle)
 
@@ -337,7 +338,7 @@ def test_middle_criterion_true_and_false():
 
 
 def test_middle_criterion_needs_symmetry():
-    # h = 1 3 6 6 3 and h = 1 3 fail the mirror check of their socle degree
+    # h = 1 3 6 6 3 and h = 1 3 are not palindromic
     for text, socle in ((BK_IDEAL, 4), ("x^2, x*y, x*z, y^2, y*z, z^2", 1)):
         with pytest.raises(NotGorensteinShapeError):
             middle_passes(text, socle, fixed_candidate(3))
@@ -399,13 +400,26 @@ def test_mirrored_hilbert_matches_full_scan_on_family():
     assert count == 525
 
 
-def test_premise_builds_only_the_lower_half():
+def test_family_wlp_builds_only_the_middle_slices():
     for key in FAMILY_A4:
-        params = family.validate(*key)
-        q = family_quotient(params, premise=True)
+        q = family.FamilyQuotient(family.validate(*key))
         q.check_wlp()
-        top = params.socle_degree
-        assert sorted(q._slices) == list(range(min(top // 2 + 1, top) + 1))
+        middle = q.socle_degree // 2
+        assert sorted(q._slices) == [middle, middle + 1], key
+
+
+def test_family_slp_builds_no_slice_of_a_full_degree():
+    """The pairing reads slice i only where I_i is not zero, that is where
+    h(i) < dim R_i, for the square maps A_i -> A_{D-i}, i < (D+1)/2."""
+    full = 0
+    for params in family.enumerate_params(5):
+        q = family.FamilyQuotient(params)
+        q.check_slp()
+        h, top = q.hilbert_data().h, params.socle_degree
+        low = [d for d in range((top + 1) // 2) if h[d] < len(monomial_basis(3, d))]
+        assert sorted(q._slices) == low, params.as_tuple()
+        full += (top + 1) // 2 - len(low)
+    assert full > 0
 
 
 def test_x_z_swap_pairs_share_h_and_middle_ranks():
@@ -444,29 +458,32 @@ def test_x_z_swap_pairs_share_h_and_middle_ranks():
 def test_wrong_socle_degree_is_caught():
     """A stated socle degree is checked only by necessary conditions.
 
-    On (3, 3, 3, 1, 1), h = 1 3 6 6 3 1, the slice built past the middle
-    differs from its mirror for D - 1 and D + 1.  On the flat vector
-    h = 1 3 3 3 1 of (4, 2, 2, 1, 1) both pass that guard, as they do on
-    11 of the 200 tuples with a <= 5; there the SLP pairing reads slice D,
-    which has 3 standard monomials for D = 3 and none for D = 5, not 1.
-    The monomial ideal x^3, x^2*y, x^2*z, x*y^2, x*y*z passes the mirror
-    check for D = 6 with h = 1 3 6 5 6 3 1, which rises past the middle
-    and so cannot be a codimension-three Gorenstein vector.
+    The Hilbert scan must end at the stated degree, so every wrong D below
+    the cap raises, on (3, 3, 3, 1, 1) with h = 1 3 6 6 3 1 and on the flat
+    vector h = 1 3 3 3 1 of (4, 2, 2, 1, 1) alike.  The ideal
+    x^3, x^2*y, x^2*z, x*y^2, x*y*z has no pure power of y or z, so its
+    scan raises for D = 6 before any slice is built.  Adding generators in
+    degrees 5 to 7 makes it Artinian with the palindromic vector
+    h = 1 3 6 5 6 3 1, which passes the scan for D = 6 but rises past the
+    middle, so it cannot be a codimension-three Gorenstein vector.
     """
-    params = family.validate(3, 3, 3, 1, 1)
-    for socle in (4, 6):
-        q = GradedQuotient(family.build_ideal(params), 9, socle_degree=socle)
-        with pytest.raises(NotGorensteinShapeError):
-            q.hilbert_data()
-    params = family.validate(4, 2, 2, 1, 1)
-    for socle, h in ((3, (1, 3, 3, 1)), (5, (1, 3, 3, 3, 3, 1))):
-        q = GradedQuotient(family.build_ideal(params), 8, socle_degree=socle)
-        assert q.hilbert_data().h == h
-        with pytest.raises(NotGorensteinShapeError):
-            q.check_slp()
-    q = GradedQuotient(
-        parse_ideal("x^3, x^2*y, x^2*z, x*y^2, x*y*z"), socle_degree=6
-    )
+    for key, cap in (((3, 3, 3, 1, 1), 9), ((4, 2, 2, 1, 1), 8)):
+        params = family.validate(*key)
+        ideal = family.build_ideal(params)
+        right = GradedQuotient(ideal, cap, socle_degree=params.socle_degree)
+        assert right.hilbert_data().socle_degree == params.socle_degree
+        for socle in range(cap):
+            if socle != params.socle_degree:
+                q = GradedQuotient(ideal, cap, socle_degree=socle)
+                with pytest.raises(NotGorensteinShapeError):
+                    q.hilbert_data()
+    text = "x^3, x^2*y, x^2*z, x*y^2, x*y*z"
+    q = GradedQuotient(parse_ideal(text), socle_degree=6)
+    with pytest.raises(NotArtinianWithinCapError):
+        q.hilbert_data()
+    assert q._slices == {}
+    text += ", y^5, y^4*z, y^3*z^2, y^2*z^3, x*z^5, y*z^5, z^7"
+    q = GradedQuotient(parse_ideal(text), socle_degree=6)
     assert q.hilbert_data().h == (1, 3, 6, 5, 6, 3, 1)
     with pytest.raises(NotGorensteinShapeError):
         q.check_wlp()
@@ -862,3 +879,9 @@ def test_family_values_stay_int(params, coeffs, as_fractions):
             cols = q.hilbert(d)
             dense = [[row.get(j, 0) for j in range(cols)] for row in m]
             assert rank(m) == naive_rank(dense)
+
+
+def test_conftest_clears_the_shared_tables():
+    assert polyring.multiple_columns.cache_info().currsize == 0
+    assert quotient.fixed_candidate.cache_info().currsize == 0
+    assert quotient._form_text.cache_info().currsize == 0
