@@ -17,8 +17,9 @@ inside the one branch that uses each: ``--format csv`` and ``sweep --jobs``
 above 1, and ``pathlib`` only by a sweep with a cache.  The package's record
 classes are slotted classes on :class:`lefschetz.record.Record`, not
 dataclasses, whose import loads ``inspect``, ``ast`` and ``dis``.  For the
-same reason each call builds only the subparser of the subcommand it names
-(see :func:`_build_parser`).
+same reason a parser holds only the subparser of the subcommand it is for,
+and each is built once per process and reused by every later call that
+names that subcommand (see :func:`_parser_for`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import os
 import random
 import sys
+from functools import lru_cache
 from itertools import repeat
 from time import perf_counter
 
@@ -438,14 +440,30 @@ def _add_hilbert_args(parser):
 
 
 def _build_parser(argv) -> _Parser:
-    """The parser for ``argv``.
+    """The parser for ``argv``: that of the subcommand ``argv`` starts with,
+    or else the full parser (see :func:`_parser_for`)."""
+    return _parser_for(argv[0] if argv and argv[0] in _COMMANDS else None)
 
-    When ``argv`` starts with a subcommand name, argparse hands the rest of
-    ``argv`` to that one subparser, so it is the only one built: the other
-    six subparsers and their options are most of the cost of the full parser
-    and would never be read.  Any other ``argv`` (``--help``, ``--version``,
-    an unknown or missing subcommand) gets every subcommand, so that help
-    and errors list them all.
+
+@lru_cache(maxsize=None)
+def _parser_for(name) -> _Parser:
+    """The parser of subcommand ``name``, or the full one for ``None``,
+    built once per process.
+
+    For a subcommand name, argparse hands the rest of ``argv`` to that one
+    subparser, so it is the only one built: the other six subparsers and
+    their options are most of the cost of the full parser and would never
+    be read.  The full parser (``--help``, ``--version``, an unknown or
+    missing subcommand) gets every subcommand, so that help and errors list
+    them all.
+
+    Reuse is sound because ``parse_args`` keeps no state on a parser
+    between calls: each call fills a fresh ``Namespace`` with the defaults
+    and parses into it, a subparser parses into a fresh namespace of its
+    own that is then copied over, and help and usage text is formatted
+    anew on each request.  Every default is an int, a string, ``False`` or
+    ``None``, so no call can change one.  So a call parses as it would on
+    a new parser.
     """
     parser = _Parser(
         prog="lefschetz",
@@ -453,10 +471,9 @@ def _build_parser(argv) -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        help_line, add_args, _ = _COMMANDS[name]
-        add_args(sub.add_parser(name, help=help_line))
+    for cmd in _COMMANDS if name is None else (name,):
+        help_line, add_args, _ = _COMMANDS[cmd]
+        add_args(sub.add_parser(cmd, help=help_line))
     return parser
 
 

@@ -9,8 +9,10 @@ first variable first.  An ideal is presented by finitely many homogeneous
 generators; its degree-d slice is the echelonized span of all monomial
 multiples of the generators landing in degree d.  The multiples of a
 monomial generator are unit rows, so the slice keeps them implicit: their
-columns are marked dead, run by run (see :func:`column_runs`), and only the
-rows of the other generators, restricted to live columns, are echelonized.
+columns are marked dead, run by run (see :func:`column_runs`).  So is the
+column of any other row left with one live entry, which is a unit row too
+(see :func:`slice_rows`).  Only the remaining rows, restricted to live
+columns, are echelonized.
 """
 
 from __future__ import annotations
@@ -258,11 +260,12 @@ class DegreeSlice(Record):
     """Echelonized degree-d slice of an ideal inside the full monomial basis.
 
     ``dead`` holds the columns of the monomials that lie in the monomial
-    part of the ideal; each stands for a unit row that is never built.
-    ``echelon`` is the reduced echelon form of the other generators' rows
-    restricted to the live columns.  ``standard_monomials`` are the basis
-    monomials at columns that are neither dead nor pivots; they descend to a
-    basis of the degree-d part of the quotient ring.
+    part of the ideal, and the columns of the rows that :func:`slice_rows`
+    found to be unit rows; each stands for a unit row e_c of the row space
+    that is not stored.  ``echelon`` is the reduced echelon form of the
+    other rows restricted to the live columns.  ``standard_monomials`` are
+    the basis monomials at columns that are neither dead nor pivots; they
+    descend to a basis of the degree-d part of the quotient ring.
     """
 
     __slots__ = (
@@ -354,7 +357,11 @@ def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
     columns instead.  Each multiple of a generator with two or more terms
     becomes a ``{column: coefficient}`` row, its columns read off the
     multiple columns of the generator's terms, with its entries in dead
-    columns dropped; rows left empty are skipped.
+    columns dropped; rows left empty are skipped.  A row left with a single
+    entry is a unit row as well: its column joins the dead ones and the row
+    is dropped, round after round, until no row has a single entry (the
+    first step of structured Gaussian elimination, LaMacchia and Odlyzko,
+    CRYPTO 1990).  So the returned rows have two or more entries each.
     """
     dead = set()
     wide = []
@@ -381,6 +388,18 @@ def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
                     row[col] = c
             if row:
                 rows.append(row)
+    # A row left with one live entry c is a nonzero multiple of e_c, so e_c
+    # lies in the row space just as a monomial generator's unit rows do: c
+    # joins the dead columns and the row is dropped.  Dropping c from the
+    # other rows changes each by a multiple of e_c, which keeps the row
+    # space, and may leave another row with one entry, so repeat.
+    while units := {c for row in rows if len(row) == 1 for c in row}:
+        dead |= units
+        rows = [
+            kept
+            for row in rows
+            if (kept := {c: v for c, v in row.items() if c not in units})
+        ]
     return dead, rows
 
 
@@ -388,23 +407,25 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     """Slice of the ideal in the given degree; rank 0 when no generator
     divides into it.
 
-    Monomial generators only mark dead columns (see :func:`slice_rows`), and
-    no unit row is stored for them: the slice keeps the set ``dead`` and the
-    rref of the other generators' rows restricted to live columns.  Its
-    rank is ``len(dead)`` plus the echelon rank, and
-    :meth:`DegreeSlice.residue` reduces a vector modulo the whole slice.
+    Monomial generators and rows with a single live entry only mark dead
+    columns (see :func:`slice_rows`), and no unit row is stored for them:
+    the slice keeps the set ``dead`` and the rref of the other rows
+    restricted to live columns.  Its rank is ``len(dead)`` plus the echelon
+    rank, and :meth:`DegreeSlice.residue` reduces a vector modulo the whole
+    slice.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     basis = monomial_basis(ideal.nvars, degree)
     dead, rows = slice_rows(ideal, degree)
-    # Each row differs from its restriction to live columns by a combination
-    # of dead unit vectors, so the row space is span{e_c : c dead} (+)
-    # span{restricted rows}.  The dead unit rows and the rows of ``echelon``,
-    # which vanish on dead columns, are together reduced and echelon, and
-    # the reduced echelon form is unique: the full matrix has exactly these
-    # rows, its pivots are the dead columns and the pivots of ``echelon``,
-    # and its standard monomials are the ones kept here.
+    # Every e_c with c dead lies in the row space (see slice_rows), and each
+    # row differs from its restriction to live columns by a combination of
+    # them, so the row space is span{e_c : c dead} (+) span{restricted rows}.
+    # The dead unit rows and the rows of ``echelon``, which vanish on dead
+    # columns, are together reduced and echelon, and the reduced echelon
+    # form is unique: the full matrix has exactly these rows, its pivots
+    # are the dead columns and the pivots of ``echelon``, and its standard
+    # monomials are the ones kept here.
     ech = exactla.rref(rows) if rows else EchelonForm({})
     pivots = ech.rows
     dead = frozenset(dead)

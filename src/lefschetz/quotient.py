@@ -467,6 +467,10 @@ class GradedQuotient:
         tested by :func:`exactla.determinant`, which runs faster on dense
         rows than the sparse rank kernel.  A nonzero determinant gives
         rank h_i; only a singular G_i is ranked by :func:`exactla.rank`.
+        G_i lists its basis in increasing tuple order, the reverse of
+        :func:`monomial_basis` order.  That is a symmetric permutation
+        P·G_i·Pᵀ, with the same determinant and rank, so no record changes;
+        ``det_bareiss`` just runs faster on it (why was not measured).
 
         Φ_j(w) = φ(ℓ^j·w), on the degree-(D-j) basis, follows from
         Φ_j(w) = Σ_v ℓ_v·Φ_{j-1}(w·x_v), one degree at a time, so no power
@@ -492,6 +496,7 @@ class GradedQuotient:
             # h(d) = dim R_d means I_d = 0, so every column is standard
             full = h[d] == len(monomial_basis(nvars, d))
             std = range(h[d]) if full else self.slice(d).standard_columns
+            std = std[::-1]
             gram = [[phi[table[u][v]] for v in std] for u in std]
             if exactla.determinant(gram):
                 ranks.append(len(std))

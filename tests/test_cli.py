@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,46 @@ def test_one_subcommand_parser_prints_the_same_help(name):
     one = _subcommands(cli._build_parser([name]))[name]
     full = _subcommands(cli._build_parser([]))[name]
     assert one.format_help() == full.format_help()
+
+
+def test_build_parser_reuses_one_parser_per_subcommand():
+    hilbert = cli._build_parser(["hilbert", "--ideal", "x^2", "--dmax", "3"])
+    assert cli._build_parser(["hilbert", "--format", "csv"]) is hilbert
+    assert cli._build_parser(["wlp"]) is not hilbert
+    full = cli._build_parser([])
+    for argv in (["--help"], ["--version"], ["frobnicate"], ["-h", "wlp"]):
+        assert cli._build_parser(argv) is full
+    # a reused parser starts each parse from its defaults
+    ideal = ["hilbert", "--ideal", "x^2, y^2, z^2"]
+    assert hilbert.parse_args(ideal + ["--dmax", "3"]).dmax == 3
+    assert hilbert.parse_args(ideal).dmax is None
+
+
+REUSE_SEQUENCE = [
+    ["hilbert", "--ideal", "x^2, y^2, z^2", "--dmax", "3"],
+    ["hilbert", "--ideal", "x^2, y^2, z^2"],
+    ["hilbert", "--dmax", "x"],
+    ["--help"],
+    ["--version"],
+    ["wlp", "-a", "3", "-b", "2", "-c", "2", "--beta", "1", "--gamma", "1"],
+]
+
+
+def test_reused_parsers_answer_like_fresh_ones(capsys):
+    def call(argv):
+        code, out, err = run(argv, capsys)
+        return code, re.sub(r'"ms": [0-9.]+', '"ms"', out), err
+
+    cli._parser_for.cache_clear()
+    reused = [call(argv) for argv in REUSE_SEQUENCE]
+    fresh = []
+    for argv in REUSE_SEQUENCE:
+        cli._parser_for.cache_clear()
+        fresh.append(call(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 3, 0, 0, 0]
+    # the second call's dmax is None, so it reports the socle degree
+    assert json.loads(reused[1][1]) == {"h": [1, 3, 3, 1], "socle_degree": 3}
 
 
 def test_help_lists_every_subcommand(capsys):

@@ -20,6 +20,7 @@ from lefschetz.polyring import (
     multiple_columns,
     parse_ideal,
     parse_poly,
+    slice_rows,
 )
 from lefschetz.quotient import LinearForm
 
@@ -373,6 +374,30 @@ def test_degree_slice_matches_generic_rref(ideal, rng):
                 support.append(rng.choice(dead))
             vec = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for c in support}
             assert got.residue(vec) == exactla.reduce_mod_echelon(want, vec)
+
+
+def test_unit_rows_join_the_dead_columns_round_by_round():
+    # Degree 3, basis x^3 x^2y x^2z xy^2 xyz xz^2 y^3 y^2z yz^2 z^3 (columns
+    # 0-9).  x^2 kills 0, 1, 2.  Then x*(xy - y^2) is left with xy^2 (3);
+    # with 3 dead, y*(xy - y^2) and x*(y^2 - z^2) are left with y^3 (6) and
+    # xz^2 (5); with 6 dead, y*(y^2 - z^2) is left with yz^2 (8).  Only
+    # z*(xy - y^2) and z*(y^2 - z^2) keep two entries.
+    ideal = parse_ideal("x^2, x*y - y^2, y^2 - z^2")
+    dead, rows = slice_rows(ideal, 3)
+    assert dead == {0, 1, 2, 3, 5, 6, 8}
+    assert rows == [{4: 1, 7: -1}, {7: 1, 9: -1}]
+    got = ideal_degree_slice(ideal, 3)
+    assert got.dead == {0, 1, 2, 3, 5, 6, 8}
+    assert sorted(got.echelon.rows) == [4, 7]
+    want = _generic_slice_echelon(ideal, 3)
+    assert got.rank == want.rank == 9
+    basis = monomial_basis(3, 3)
+    assert got.standard_monomials == tuple(
+        m for i, m in enumerate(basis) if i not in want.rows
+    ) == ((0, 0, 3),)
+    full = {c: {c: 1} for c in got.dead}
+    full.update(got.echelon.rows)
+    assert sorted(full.items()) == list(want.rows.items())
 
 
 @given(
