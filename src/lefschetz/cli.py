@@ -121,17 +121,8 @@ def _tuple_seed(seed, params: family.GorensteinParams) -> str:
 def _verdict_record(
     params: family.GorensteinParams, trials, bound, seed, with_slp: bool
 ) -> dict:
-    """The record of one tuple, shared by single verdicts and sweeps.
-
-    The family quotient R/I is Artinian Gorenstein: I = (J : y^beta) for the
-    complete intersection J of its first three generators, and the quotient
-    of the Gorenstein algebra R/J by the annihilator of an element is again
-    Gorenstein.  R/J has socle degree a+b+c-3, and the socle degree of
-    R/(J : f) is (a+b+c-3) - deg f, which is ``params.socle_degree``.  So
-    the Hilbert vector is counted by :func:`family.hilbert_vector`, WLP is
-    decided by the middle-degree criterion, and SLP by the socle pairing
-    with the functional of :func:`family.socle_monomials`.
-    """
+    """The record of one tuple, shared by single verdicts and sweeps, with
+    the verdict paths of :class:`family.FamilyQuotient`."""
     start = perf_counter()
     q = family.FamilyQuotient(params)
     data = q.hilbert_data()

@@ -122,25 +122,6 @@ def rank(rows: Iterable[Mapping]) -> int:
     return kernels.rank_int([_integer_row(r)[1] for r in rows])
 
 
-def kernel_basis(rows: Iterable[Mapping], cols: int) -> list:
-    """Basis vectors (length ``cols``) of the right null space of the
-    sparse rows, whose columns lie in ``0..cols-1``, one per free column in
-    increasing column order."""
-    pivots = rref(rows).rows
-    basis = []
-    for free in range(cols):
-        if free in pivots:
-            continue
-        vec = [0] * cols
-        vec[free] = 1
-        for pcol, row in pivots.items():
-            coeff = row.get(free)
-            if coeff:
-                vec[pcol] = -coeff
-        basis.append(vec)
-    return basis
-
-
 def determinant(rows):
     """Exact determinant of a square matrix given as dense rows.
 

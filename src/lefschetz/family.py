@@ -4,10 +4,11 @@ Parameters (a, b, c, beta, gamma) pick three complete-intersection exponents,
 a twist exponent gamma for the middle binomial generator, and a colon shift
 beta.  The full ideal adds two mixed monomials to the complete intersection
 (x^a, y^b - x^(b-gamma) z^gamma, z^c); the quotient is Gorenstein with socle
-degree a + b + c - beta - 3.  ``classify`` evaluates the closed-form
-parameter regions with a proved weak Lefschetz verdict, and the SnMatrix
-utilities check the positive-determinant identity for the structured sign
-matrices that drive those proofs.
+degree a + b + c - beta - 3, and ``FamilyQuotient`` decides its weak and
+strong Lefschetz properties by the paths that licenses.  ``classify``
+evaluates the closed-form parameter regions with a proved weak Lefschetz
+verdict, and the SnMatrix utilities check the positive-determinant identity
+for the structured sign matrices that drive those proofs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,14 @@ from itertools import accumulate, islice, repeat
 from operator import neg, sub
 
 from . import exactla
-from .polyring import HomogeneousPoly, IdealPresentation, _basis_index
-from .quotient import GradedQuotient, HilbertData
+from .polyring import (
+    HomogeneousPoly,
+    IdealPresentation,
+    _basis_index,
+    monomial_basis,
+    multiple_columns,
+)
+from .quotient import GradedQuotient, HilbertData, LinearForm, _product_columns
 from .record import Record
 
 
@@ -37,6 +44,12 @@ class BetaRangeError(ParameterError):
 
 class GammaRangeError(ParameterError):
     """The twist must satisfy max(1, b-a+1) <= gamma <= min(b-1, c-1)."""
+
+
+class NotGorensteinShapeError(ValueError):
+    """The Hilbert vector rises past its middle degree, so it is not the
+    vector of a codimension-three Gorenstein quotient and the middle-degree
+    criterion is void."""
 
 
 class GorensteinParams(Record):
@@ -209,29 +222,128 @@ def hilbert_vector(params: GorensteinParams) -> tuple:
 
 
 class FamilyQuotient(GradedQuotient):
-    """The quotient R/I of a family tuple, stated Gorenstein with socle
-    degree ``params.socle_degree``, with h from :func:`hilbert_vector` and
-    phi from :func:`socle_monomials`, so that neither builds a slice."""
+    """The quotient A = R/I of a family tuple, with the verdict paths that
+    its being Artinian Gorenstein licenses.
+
+    A is Artinian Gorenstein: I = (J : y^beta) for the complete
+    intersection J of the first three generators, and the quotient of the
+    Gorenstein algebra R/J by the annihilator of an element is again
+    Gorenstein.  R/J has socle degree a+b+c-3, and the socle degree of
+    R/(J : f) is (a+b+c-3) - deg f, which is D = ``params.socle_degree``.
+
+    So h is counted by :func:`hilbert_vector` and phi read off
+    :func:`socle_monomials`, neither building a slice; WLP is decided by
+    the middle map and SLP by the socle pairing (:meth:`_pairs`,
+    :meth:`_power_scan`).  The premise-free :class:`GradedQuotient` is the
+    reference they are tested against.  Only these private hooks are
+    overridden; the public verdict methods are those of the base class.
+    """
 
     def __init__(self, params: GorensteinParams):
         GradedQuotient.__init__(
-            self,
-            build_ideal(params),
-            degree_cap=params.a + params.b + params.c,
-            socle_degree=params.socle_degree,
+            self, build_ideal(params), degree_cap=params.a + params.b + params.c
         )
         self.params = params
         self._hilbert = HilbertData(hilbert_vector(params))
 
-    def hilbert_data(self) -> HilbertData:
-        return self._hilbert
+    def _pairs(self, strong: bool) -> tuple:
+        """(criterion, [(power, degree), ...]) as in
+        :meth:`GradedQuotient._pairs`, under the Gorenstein premise.
+
+        WLP.  One map decides (``middle``): an Artinian Gorenstein quotient
+        has WLP for ℓ exactly when ×ℓ: A_m -> A_{m+1}, m = floor(D/2), is
+        surjective (Migliore-Miró-Roig-Nagel, Trans. AMS 363 (2011), §2).
+        A record is maximal when its rank is the smaller dimension, which
+        means onto only when h(m) >= h(m+1).  Codimension-three Gorenstein
+        Hilbert vectors are unimodal (Stanley 1978), so a rise past the
+        middle raises :class:`NotGorensteinShapeError`.  The check is
+        necessary, not sufficient: ``x^2, x*y, x*z, y^3, y^2*z^2, z^4`` has
+        h = (1, 3, 3, 3, 1) and passes the middle test with ``x - y - z``,
+        yet x is a degree-one socle element that every form kills, so WLP
+        fails.  So the premise rests on the argument of the class
+        docstring, not on h.
+
+        SLP.  h is palindromic, as a Gorenstein vector is (Stanley, Adv.
+        Math. 28 (1978)), so the square maps ×ℓ^{D-2i}: A_i -> A_{D-i},
+        i < (D+1)/2, of the ``narrow`` criterion decide, and the premise
+        licenses ranking them through the socle pairing (``pairing``,
+        :meth:`_power_scan`), which builds no slice above floor(D/2).
+        """
+        h = self.hilbert_data().h
+        top = len(h) - 1
+        if strong:
+            return "pairing", [(top - 2 * d, d) for d in range((top + 1) // 2)]
+        middle = top // 2
+        pairs = [(1, middle)] if middle < top else []
+        if pairs and h[middle] < h[middle + 1]:
+            raise NotGorensteinShapeError(
+                f"Hilbert vector {h} rises past its middle degree {middle}"
+            )
+        return "middle", pairs
 
     def _socle_functional(self) -> list:
-        index = _basis_index(3, self.socle_degree)
+        """phi: R_D -> K as one value per degree-D basis column: 1 on the
+        monomials of :func:`socle_monomials`, 0 elsewhere."""
+        index = _basis_index(3, self.params.socle_degree)
         phi = [0] * len(index)
         for t in socle_monomials(self.params):
             phi[index[t]] = 1
         return phi
+
+    def _power_scan(self, form: LinearForm, pairs) -> tuple:
+        """(holds, records) for the square maps ×ℓ^{D-2i}: A_i -> A_{D-i}
+        of :meth:`_pairs`, ranked through the socle pairing.
+
+        Let M = ×ℓ^{D-2i} and P: A_{D-i} -> (A_i)^*, P(w)(u) = φ(u·w),
+        with φ from :meth:`_socle_functional`.  The Gram matrix
+        G_i[u, v] = φ(ℓ^{D-2i}·u·v) over the standard monomials u, v of
+        A_i is the matrix of P∘M, so rank G_i <= rank M for any quotient:
+        a nonsingular G_i proves M bijective even if the premise is false.
+        Under the premise P is the perfect pairing of a Gorenstein quotient
+        (Maeno-Watanabe, Illinois J. Math. 53 (2009)), an isomorphism, so
+        rank G_i = rank M and the records are those of :meth:`_scan`.
+
+        G_i is square and dense, and most are nonsingular (190 of the 194
+        that x - y - z gives at a <= 4), so each is built as dense rows and
+        tested by :func:`exactla.determinant`, which runs faster on dense
+        rows than the sparse rank kernel.  A nonzero determinant gives
+        rank h_i; only a singular G_i is ranked by :func:`exactla.rank`.
+        G_i lists its basis in increasing tuple order, the reverse of
+        :func:`monomial_basis` order.  That is a symmetric permutation
+        P·G_i·Pᵀ, with the same determinant and rank, so no record changes;
+        ``det_bareiss`` just runs faster on it (why was not measured).
+
+        Φ_j(w) = φ(ℓ^j·w), on the degree-(D-j) basis, follows from
+        Φ_j(w) = Σ_v ℓ_v·Φ_{j-1}(w·x_v), one degree at a time, so no power
+        of ℓ is expanded and no product is reduced.
+        """
+        nvars, top = self.ideal.nvars, self.params.socle_degree
+        # x_v's coefficient and the degree-one basis are both in variable order
+        terms = [
+            (c, x) for c, x in zip(form.coefficients, monomial_basis(nvars, 1)) if c
+        ]
+        phi = self._socle_functional()
+        levels = {}
+        for j in range(1, max((power for power, _ in pairs), default=0) + 1):
+            # the k-th multiple of x_v is x_v times the k-th basis monomial
+            parts = [
+                [c * phi[k] for k in multiple_columns(x, top - j + 1)]
+                for c, x in terms
+            ]
+            phi = levels[j] = list(map(sum, zip(*parts)))
+        h, ranks = self.hilbert_data().h, []
+        for power, d in pairs:
+            phi, table = levels[power], _product_columns(nvars, d, d)
+            # h(d) = dim R_d means I_d = 0, so every column is standard
+            full = h[d] == len(monomial_basis(nvars, d))
+            std = range(h[d]) if full else self.slice(d).standard_columns
+            std = std[::-1]
+            gram = [[phi[table[u][v]] for v in std] for u in std]
+            if exactla.determinant(gram):
+                ranks.append(len(std))
+            else:
+                ranks.append(exactla.rank(dict(enumerate(row)) for row in gram))
+        return self._records(pairs, ranks)
 
 
 _FLAG_NAMES = (

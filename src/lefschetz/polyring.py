@@ -33,10 +33,6 @@ Monomial = tuple
 DEFAULT_NAMES = ("x", "y", "z")
 
 
-class ZeroCoefficientError(ValueError):
-    """The linear form does not involve the variable being eliminated."""
-
-
 class PolyParseError(ValueError):
     """Malformed polynomial text; carries the offending position."""
 
@@ -434,57 +430,6 @@ def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:
     )
     standard = tuple(basis[i] for i in standard_cols)
     return DegreeSlice(degree, basis, dead, ech, standard, standard_cols)
-
-
-def eliminate_linear_form(
-    ideal: IdealPresentation, form: HomogeneousPoly, eliminated_var: int
-) -> IdealPresentation:
-    """Substitute the linear form's zero locus, dropping one variable.
-
-    Solves ``form = 0`` for the eliminated variable and substitutes into each
-    generator, producing a presentation in one fewer variable.  Generators
-    that collapse to zero are dropped.  Accepts anything with a ``to_poly``
-    method in place of a polynomial.
-    """
-    if hasattr(form, "to_poly"):
-        form = form.to_poly()
-    if form.nvars != ideal.nvars:
-        raise ValueError("form variable count mismatch")
-    if form.degree != 1:
-        raise ValueError("form must be linear")
-    if not 0 <= eliminated_var < ideal.nvars:
-        raise ValueError("variable index out of range")
-    unit = tuple(
-        1 if i == eliminated_var else 0 for i in range(ideal.nvars)
-    )
-    lead = form.terms.get(unit)
-    if not lead:
-        raise ZeroCoefficientError(
-            f"form has zero coefficient on variable {eliminated_var}"
-        )
-    nv = ideal.nvars - 1
-    replacement_terms = {}
-    for mono, coeff in form.terms.items():
-        if mono == unit:
-            continue
-        var = mono.index(1)
-        reduced = tuple(
-            1 if i == (var if var < eliminated_var else var - 1) else 0
-            for i in range(nv)
-        )
-        # a Fraction, never int / int, which would round to a float
-        replacement_terms[reduced] = Fraction(-coeff, lead)
-    replacement = HomogeneousPoly(nv, 1, replacement_terms)
-    new_gens = []
-    for g in ideal.generators:
-        image = HomogeneousPoly.zero(nv, g.degree)
-        for mono, coeff in g.terms.items():
-            rest = mono[:eliminated_var] + mono[eliminated_var + 1 :]
-            term = HomogeneousPoly.monomial(nv, rest, coeff)
-            image = image + term * replacement ** mono[eliminated_var]
-        if not image.is_zero():
-            new_gens.append(image)
-    return IdealPresentation(nv, new_gens)
 
 
 def _skip_spaces(text: str, pos: int) -> int:

@@ -19,7 +19,6 @@ from .exactla import _coerce
 from .polyring import (
     HomogeneousPoly,
     IdealPresentation,
-    _basis_index,
     ideal_degree_slice,
     mono_str,
     monomial_basis,
@@ -37,13 +36,6 @@ class NotArtinianWithinCapError(ValueError):
 
 class CapExceededError(ValueError):
     """A slice beyond the configured degree cap was requested."""
-
-
-class NotGorensteinShapeError(ValueError):
-    """The scanned Hilbert vector does not end at a stated socle degree, is
-    not palindromic, or rises past its middle degree, so the quotient
-    cannot be Gorenstein of that shape in codimension three and the
-    middle-degree criterion is void."""
 
 
 class LinearForm(Record):
@@ -153,9 +145,9 @@ def _form_power(coefficients: tuple, power: int) -> HomogeneousPoly:
     """The ``power``-th power of the linear form with these coefficients.
 
     Shared by every quotient in the process.  Family verdicts ask only for
-    power 1; the premise-free SLP scan asks for a whole chain (at most 25
-    powers for a <= 7), which sixty-four entries hold with the random
-    forms of a search.  Callers only read the result.
+    power 1; the SLP scan of :class:`GradedQuotient` asks for a whole chain
+    (at most 25 powers for a <= 7), which sixty-four entries hold with the
+    random forms of a search.  Callers only read the result.
     """
     linear = LinearForm(coefficients).to_poly()
     if power == 1:
@@ -183,39 +175,23 @@ class GradedQuotient:
     anything exotic.  Slices are cached, so repeated Hilbert or rank queries
     echelonize each degree once.
 
-    ``socle_degree=D`` states that the quotient is known to be Artinian
-    Gorenstein with socle degree D.  WLP is then decided by the single
-    middle-degree map, and SLP by the socle pairing (:meth:`_pairing_scan`)
-    with the functional that :meth:`_socle_functional` reads off slice D.
-    The premise is a fact about the input, checked only by necessary
-    conditions: the Hilbert scan of :meth:`hilbert_data` must end at D
-    with a palindromic vector, and :meth:`_pairs` checks unimodality.
-    :class:`lefschetz.family.FamilyQuotient` overrides both methods with
-    closed forms, so a family verdict builds only the slices of the maps
-    it ranks.
-
-    WLP and SLP share one search: :meth:`_pairs` chooses the maps and names
-    the criterion (``middle``, ``narrow``, ``pairing`` or ``full``),
-    :meth:`_scan` or, for ``pairing``, :meth:`_pairing_scan` ranks them
-    into :class:`MapRank` records, and :meth:`_search` returns a
-    :class:`LefschetzReport`.
+    It states no premise about the ideal, so it is the reference scan that
+    :class:`lefschetz.family.FamilyQuotient` and its closed forms are
+    tested against.  WLP and SLP share one search: :meth:`_pairs` chooses
+    the maps and names the criterion (``narrow`` or ``full``), the hook
+    :meth:`_power_scan` for SLP and :meth:`_scan` for WLP rank them into
+    :class:`MapRank` records, and :meth:`_search` returns a
+    :class:`LefschetzReport`.  A subclass that knows more about its
+    quotient overrides :meth:`_pairs` and :meth:`_power_scan`.
     """
 
-    def __init__(
-        self,
-        ideal: IdealPresentation,
-        degree_cap: int | None = None,
-        socle_degree: int | None = None,
-    ):
+    def __init__(self, ideal: IdealPresentation, degree_cap: int | None = None):
         if degree_cap is None:
             degree_cap = sum(g.degree for g in ideal.generators)
         if degree_cap < 1:
             raise ValueError("degree cap must be positive")
-        if socle_degree is not None and not 0 <= socle_degree < degree_cap:
-            raise ValueError("socle degree must be at least 0 and below the cap")
         self.ideal = ideal
         self.degree_cap = degree_cap
-        self.socle_degree = socle_degree
         self._slices = {}
         self._hilbert = None
 
@@ -247,23 +223,9 @@ class GradedQuotient:
         there are fewer generators than variables, or, in at most three
         variables, when every generator vanishes at a point with coordinates
         in {-1, 0, 1}, tried first on {0,1}^n.
-
-        With ``socle_degree=D`` A is stated Artinian Gorenstein, so
-        A_d x A_{D-d} -> A_D is a perfect pairing and h(d) = h(D-d)
-        (Stanley, Adv. Math. 28 (1978)).  :class:`NotGorensteinShapeError`
-        is raised unless the scan, which the cap lets reach D+1, ends at D
-        with h palindromic, so h(D) = h(0) = 1: necessary, not sufficient.
         """
         if self._hilbert is None:
-            data = self._scan_hilbert()
-            top = self.socle_degree
-            if top is not None and (
-                data.socle_degree != top or data.h != data.h[::-1]
-            ):
-                raise NotGorensteinShapeError(
-                    f"Hilbert values {data.h} do not fit socle degree {top}"
-                )
-            self._hilbert = data
+            self._hilbert = self._scan_hilbert()
         return self._hilbert
 
     def _scan_hilbert(self) -> HilbertData:
@@ -352,19 +314,7 @@ class GradedQuotient:
         A_degree -> A_{degree+power} whose ranks decide WLP, or SLP when
         ``strong``, for one form ℓ.
 
-        WLP.  With ``socle_degree=D`` one map decides (``middle``): an
-        Artinian Gorenstein quotient has WLP for ℓ exactly when
-        ×ℓ: A_m -> A_{m+1}, m = floor(D/2), is surjective
-        (Migliore-Miró-Roig-Nagel, Trans. AMS 363 (2011), §2).  A record is
-        maximal when its rank is the smaller dimension, which means onto
-        only when h(m) >= h(m+1).  Codimension-three Gorenstein Hilbert
-        vectors are unimodal (Stanley 1978), so a rise past the middle
-        raises :class:`NotGorensteinShapeError`.  Being Gorenstein is the
-        caller's premise, and a symmetric unimodal vector does not imply
-        it: ``x^2, x*y, x*z, y^3, y^2*z^2, z^4`` has h = (1, 3, 3, 3, 1) and
-        passes the middle test with ``x - y - z``, yet x is a degree-one
-        socle element that every form kills, so WLP fails.  Without a
-        stated socle degree every ×ℓ: A_d -> A_{d+1} is scanned (``full``).
+        WLP scans every ×ℓ: A_d -> A_{d+1} (``full``).
 
         SLP.  A palindromic Hilbert vector (h_i = h_{D-i}) needs only the
         square maps ×ℓ^{D-2i}: A_i -> A_{D-i} for i < (D+1)/2 (``narrow``).
@@ -382,30 +332,16 @@ class GradedQuotient:
         Any other Hilbert vector scans every power and compatible degree
         (``full``).  So the fixed-then-random search visits the same forms
         and returns the same verdict and certificate as the full scan.
-        With ``socle_degree=D`` the vector of :meth:`hilbert_data` is
-        palindromic, and the premise licenses ranking the same square maps
-        through the socle pairing instead (``pairing``,
-        :meth:`_pairing_scan`), which builds no slice above floor(D/2)
-        other than the slice D that :meth:`_socle_functional` may read.
         """
         data = self.hilbert_data()
         h, top = data.h, data.socle_degree
-        if strong:
-            if h == h[::-1]:
-                criterion = "narrow" if self.socle_degree is None else "pairing"
-                return criterion, [(top - 2 * d, d) for d in range((top + 1) // 2)]
-            return "full", [
-                (p, d) for p in range(1, top + 1) for d in range(top - p + 1)
-            ]
-        if self.socle_degree is None:
+        if not strong:
             return "full", [(1, d) for d in range(top)]
-        middle = top // 2
-        pairs = [(1, middle)] if middle < top else []
-        if pairs and h[middle] < h[middle + 1]:
-            raise NotGorensteinShapeError(
-                f"Hilbert vector {h} rises past its middle degree {middle}"
-            )
-        return "middle", pairs
+        if h == h[::-1]:
+            return "narrow", [(top - 2 * d, d) for d in range((top + 1) // 2)]
+        return "full", [
+            (p, d) for p in range(1, top + 1) for d in range(top - p + 1)
+        ]
 
     def _records(self, pairs, ranks) -> tuple:
         """(holds, records): one :class:`MapRank` per (power, degree) pair
@@ -431,78 +367,7 @@ class GradedQuotient:
             ),
         )
 
-    def _socle_functional(self) -> list:
-        """φ: R_D -> K, the coordinate of a degree-D residue on the one
-        standard monomial s of slice D, as one value per degree-D basis
-        column: 1 at s, 0 at a dead column, whose monomial lies in the
-        ideal, and -row[s] at a pivot column.  A reduced row is 1 at its
-        pivot and its other entries sit on standard columns, here s alone,
-        so the pivot monomial is congruent to -row[s]·s modulo the slice.
-        Slice D has one standard monomial because :meth:`hilbert_data`,
-        which :meth:`_pairs` reads first, checked h(D) = h(0) = 1.
-        """
-        sl = self.slice(self.socle_degree)
-        (s,) = sl.standard_columns
-        phi = [0] * len(sl.basis)
-        phi[s] = 1
-        for pcol, row in sl.echelon.rows.items():
-            phi[pcol] = -row.get(s, 0)
-        return phi
-
-    def _pairing_scan(self, form: LinearForm, pairs) -> tuple:
-        """(holds, records) for the square maps ×ℓ^{D-2i}: A_i -> A_{D-i}
-        of :meth:`_pairs`, ranked through the socle pairing.
-
-        Let M = ×ℓ^{D-2i} and P: A_{D-i} -> (A_i)^*, P(w)(u) = φ(u·w),
-        with φ from :meth:`_socle_functional`.  The Gram matrix
-        G_i[u, v] = φ(ℓ^{D-2i}·u·v) over the standard monomials u, v of
-        A_i is the matrix of P∘M, so rank G_i <= rank M for any quotient:
-        a nonsingular G_i proves M bijective even if the premise is false.
-        Under the premise P is the perfect pairing of a Gorenstein quotient
-        (Maeno-Watanabe, Illinois J. Math. 53 (2009)), an isomorphism, so
-        rank G_i = rank M and the records are those of :meth:`_scan`.
-
-        G_i is square and dense, and most are nonsingular (190 of the 194
-        that x - y - z gives at a <= 4), so each is built as dense rows and
-        tested by :func:`exactla.determinant`, which runs faster on dense
-        rows than the sparse rank kernel.  A nonzero determinant gives
-        rank h_i; only a singular G_i is ranked by :func:`exactla.rank`.
-        G_i lists its basis in increasing tuple order, the reverse of
-        :func:`monomial_basis` order.  That is a symmetric permutation
-        P·G_i·Pᵀ, with the same determinant and rank, so no record changes;
-        ``det_bareiss`` just runs faster on it (why was not measured).
-
-        Φ_j(w) = φ(ℓ^j·w), on the degree-(D-j) basis, follows from
-        Φ_j(w) = Σ_v ℓ_v·Φ_{j-1}(w·x_v), one degree at a time, so no power
-        of ℓ is expanded and no product is reduced.
-        """
-        nvars, top = self.ideal.nvars, self.socle_degree
-        # x_v's coefficient and the degree-one basis are both in variable order
-        terms = [
-            (c, x) for c, x in zip(form.coefficients, monomial_basis(nvars, 1)) if c
-        ]
-        phi = self._socle_functional()
-        levels = {}
-        for j in range(1, max((power for power, _ in pairs), default=0) + 1):
-            # the k-th multiple of x_v is x_v times the k-th basis monomial
-            parts = [
-                [c * phi[k] for k in multiple_columns(x, top - j + 1)]
-                for c, x in terms
-            ]
-            phi = levels[j] = list(map(sum, zip(*parts)))
-        h, ranks = self.hilbert_data().h, []
-        for power, d in pairs:
-            phi, table = levels[power], _product_columns(nvars, d, d)
-            # h(d) = dim R_d means I_d = 0, so every column is standard
-            full = h[d] == len(monomial_basis(nvars, d))
-            std = range(h[d]) if full else self.slice(d).standard_columns
-            std = std[::-1]
-            gram = [[phi[table[u][v]] for v in std] for u in std]
-            if exactla.determinant(gram):
-                ranks.append(len(std))
-            else:
-                ranks.append(exactla.rank(dict(enumerate(row)) for row in gram))
-        return self._records(pairs, ranks)
+    _power_scan = _scan
 
     def _check_form(self, form: LinearForm) -> None:
         if form.nvars != self.ideal.nvars:
@@ -514,12 +379,10 @@ class GradedQuotient:
         return self._scan(form, self._pairs(strong=False)[1])
 
     def certify_powers(self, form: LinearForm) -> tuple:
-        """SLP test of one form over the maps of :meth:`_pairs`."""
+        """SLP test of one form over the maps of :meth:`_pairs`, ranked by
+        :meth:`_power_scan`."""
         self._check_form(form)
-        criterion, pairs = self._pairs(strong=True)
-        if criterion == "pairing":
-            return self._pairing_scan(form, pairs)
-        return self._scan(form, pairs)
+        return self._power_scan(form, self._pairs(strong=True)[1])
 
     def _search(self, strong: bool, strategy: SearchStrategy | None):
         """Try the fixed candidate, then ``strategy.trials`` random forms.
@@ -558,35 +421,6 @@ class GradedQuotient:
     def check_slp(self, strategy: SearchStrategy | None = None) -> LefschetzReport:
         """Hunt for a linear form with the strong Lefschetz property."""
         return self._search(True, strategy)
-
-    def colon_slice_dim(self, divisor: HomogeneousPoly, degree: int) -> int:
-        """dim of the degree-``degree`` piece of the colon ideal
-        (ideal : divisor).
-
-        A polynomial of that degree lies in the colon exactly when its
-        product with the divisor falls into the ideal, so the answer is the
-        kernel dimension of multiply-then-reduce; a degree-zero divisor
-        recovers the slice dimension of the ideal itself.  The target slice
-        of degree ``degree + divisor.degree`` must lie within the cap.
-        """
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if divisor.is_zero():
-            raise ValueError("divisor must be nonzero")
-        if divisor.nvars != self.ideal.nvars:
-            raise ValueError("divisor variable count mismatch")
-        target = self.slice(degree + divisor.degree)
-        size = len(monomial_basis(self.ideal.nvars, degree))
-        products = _multiply_into(range(size), degree, divisor, target)
-        return size - exactla.rank(products)
-
-    def quotient_vector(self, poly: HomogeneousPoly) -> dict:
-        """Coordinates of a polynomial's residue on the standard monomials
-        of its degree."""
-        sl = self.slice(poly.degree)
-        index = _basis_index(self.ideal.nvars, poly.degree)
-        vec = {index[m]: c for m, c in poly.terms.items()}
-        return sl.residue(vec)
 
 
 @functools.lru_cache(maxsize=None)
@@ -635,20 +469,3 @@ def _multiply_into(
         for col, value in rem.items():
             rows[col][j] = value
     return tuple(rows.values())
-
-
-def residue_membership(ideal: IdealPresentation, degree: int) -> list:
-    """Per-monomial membership flags for a two-variable ideal slice.
-
-    Entry ``i`` reports whether the degree-``degree`` monomial with second
-    exponent ``i`` lies in the slice, i.e. whether appending its row to the
-    echelon form fails to grow the rank.
-    """
-    if ideal.nvars != 2:
-        raise ValueError("residue membership expects a two-variable ideal")
-    sl = ideal_degree_slice(ideal, degree)
-    out = []
-    for i in range(degree + 1):
-        rem = sl.residue({i: 1})
-        out.append(not rem)
-    return out

@@ -15,19 +15,14 @@ import pytest
 from conftest import record_acceptance
 
 from lefschetz import family
-from lefschetz.polyring import (
-    HomogeneousPoly,
+from lefschetz.polyring import HomogeneousPoly, ideal_degree_slice
+from lefschetz.quotient import HOLDS, GradedQuotient, LinearForm, fixed_candidate
+from lefschetz.semigroup import NumericalSemigroup
+from package_oracles import (
+    colon_slice_dim,
     eliminate_linear_form,
-    ideal_degree_slice,
-)
-from lefschetz.quotient import (
-    HOLDS,
-    GradedQuotient,
-    LinearForm,
-    fixed_candidate,
     residue_membership,
 )
-from lefschetz.semigroup import NumericalSemigroup
 from value_oracles import ci_hilbert, length_sets
 
 A_MAX = 7
@@ -72,9 +67,7 @@ def _row_for(params: family.GorensteinParams) -> tuple:
     t_wlp = perf_counter() - t0
     coverage = family.classify(params)
     fixed = fixed_candidate(3)
-    middle = GradedQuotient(
-        ideal, cap, socle_degree=params.socle_degree
-    ).certify(fixed)[0]
+    middle = family.FamilyQuotient(params).certify(fixed)[0]
     k = data.socle_degree // 2
     residue_ideal = eliminate_linear_form(ideal, fixed, 0)
     residue = all(residue_membership(residue_ideal, k + 1))
@@ -137,7 +130,7 @@ def test_criterion_2_colon_identity(sweep):
             ideal = family.build_ideal(params)
             y_beta = HomogeneousPoly.monomial(3, (0, beta, 0))
             for d in range(params.socle_degree + 2):
-                colon_dim = ci.colon_slice_dim(y_beta, d)
+                colon_dim = colon_slice_dim(ci, y_beta, d)
                 ideal_dim = ideal_degree_slice(ideal, d).rank
                 assert colon_dim == ideal_dim, (params.as_tuple(), d)
 
@@ -232,18 +225,16 @@ def test_criterion_8_criterion_equivalence(sweep):
         for key, row in sweep["rows"].items():
             assert row.middle_passes == row.fixed_certifies, key
             assert row.residue_all_in == row.middle_passes, key
-        # negative control on a symmetric algebra: x misses the socle
-        from lefschetz.polyring import parse_ideal
-
-        q = GradedQuotient(parse_ideal("x^2, y^2, z^2"))
+        # negative control on (3, 3, 2, 2, 1), h = 1 3 3 1: x misses the
+        # socle
+        params = family.validate(3, 3, 2, 2, 1)
+        ideal = family.build_ideal(params)
+        q = GradedQuotient(ideal, degree_cap=params.a + params.b + params.c)
         x_form = LinearForm((1, 0, 0))
         ok, _ = q.certify(x_form)
-        middle = GradedQuotient(
-            parse_ideal("x^2, y^2, z^2"), socle_degree=3
-        ).certify(x_form)[0]
-        reduced = eliminate_linear_form(
-            parse_ideal("x^2, y^2, z^2"), x_form, 0
-        )
+        middle = family.FamilyQuotient(params).certify(x_form)[0]
+        reduced = eliminate_linear_form(ideal, x_form, 0)
+        assert q.hilbert_data().h == (1, 3, 3, 1)
         k = q.hilbert_data().socle_degree // 2
         residue = all(residue_membership(reduced, k + 1))
         assert ok is False and middle is False and residue is False

@@ -11,11 +11,11 @@ from lefschetz.exactla import (
     _coerce,
     _integer_row,
     determinant,
-    kernel_basis,
     rank,
     reduce_mod_echelon,
     rref,
 )
+from package_oracles import kernel_basis
 from value_oracles import gauss_det, laplace_det, naive_rank, naive_rref
 
 rationals = st.fractions(

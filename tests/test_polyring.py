@@ -11,9 +11,7 @@ from lefschetz.polyring import (
     HomogeneousPoly,
     IdealPresentation,
     PolyParseError,
-    ZeroCoefficientError,
     column_runs,
-    eliminate_linear_form,
     ideal_degree_slice,
     mono_str,
     monomial_basis,
@@ -23,6 +21,7 @@ from lefschetz.polyring import (
     slice_rows,
 )
 from lefschetz.quotient import LinearForm
+from package_oracles import ZeroCoefficientError, eliminate_linear_form
 
 YZ = ("y", "z")
 
