@@ -52,7 +52,8 @@ CACHE_ENV = "LEFSCHETZ_CACHE_DIR"
 # Version 3: its functional is read off family.socle_monomials, and each
 # Gram matrix is tested by its determinant before any rank.
 # Version 4: the Hilbert vector is counted by family.hilbert_vector.
-CACHE_VERSION = 4
+# Version 5: with SLP, a WLP verdict is read off a fixed-form SLP certificate.
+CACHE_VERSION = 5
 
 CSV_COLUMNS = (
     "a",
@@ -130,8 +131,11 @@ def _verdict_record(
     strategy = SearchStrategy(
         trials=trials, bound=bound, seed=_tuple_seed(seed, params)
     )
-    report = q.check_wlp(strategy)
-    slp_verdict = q.check_slp(strategy).verdict if with_slp else None
+    if with_slp:
+        report, slp = q.check_wlp_and_slp(strategy)
+        slp_verdict = slp.verdict
+    else:
+        report, slp_verdict = q.check_wlp(strategy), None
     ms = round((perf_counter() - start) * 1000.0, 1)
     return {
         "a": params.a,

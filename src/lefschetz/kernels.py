@@ -10,7 +10,9 @@ input row against the pivot rows found so far until it vanishes or has a
 new lead column, and keeps one primitive row with a positive lead per lead
 column.  The back-substitution in ``rref_int`` then clears every pivot
 column from the rows above it.  ``rank_int`` reads only the forward pass:
-the number of its pivots.  Both passes step with the same two helpers,
+the number of its pivots, found with each row's last column as its lead;
+``rref_int`` leads with the first column, so its output is the usual
+reduced echelon form.  Both passes step with the same two helpers,
 ``_eliminate`` and then ``_normalize``.  Each stored row is the primitive
 row, with a positive lead, of a fixed sequence of eliminations: the lead
 columns, and so the sequence, depend only on supports, and scaling a row
@@ -61,9 +63,11 @@ def _eliminate(row, piv, col):
     return out
 
 
-def _forward(rows):
+def _forward(rows, lead=min):
     """``{lead column: primitive row with a positive lead}``, one pivot row
     per lead column, from eliminating each row against the pivots so far.
+    ``lead`` picks a row's lead column: its first (``min``) or its last
+    (``max``).
 
     The caller's rows are never changed, and none of them is stored: a row
     stored before any elimination step is copied."""
@@ -72,35 +76,38 @@ def _forward(rows):
         if not src:
             continue
         row = src
-        lead = min(row)
+        col = lead(row)
         while True:
-            piv = pivots.get(lead)
+            piv = pivots.get(col)
             if piv is None:
                 if row is src:
-                    row = _normalize(row, lead)
+                    row = _normalize(row, col)
                     if row is src:
                         row = dict(src)
-                pivots[lead] = row
+                pivots[col] = row
                 break
-            row = _eliminate(row, piv, lead)
+            row = _eliminate(row, piv, col)
             if not row:
                 break
-            lead = min(row)
-            row = _normalize(row, lead)
+            col = lead(row)
+            row = _normalize(row, col)
     return pivots
 
 
 def rank_int(rows):
     """Rank of sparse integer rows: the number of pivots of the forward pass.
 
-    The pivot rows have distinct lead columns, so they are linearly
-    independent.  Each input row is reduced by integer combinations with
-    pivot rows until it vanishes or becomes a pivot row itself, so every
-    input row lies in the span of the pivots, and every pivot lies in the
-    span of the input rows.  The pivots are thus a basis of the row space;
-    no back-substitution is needed to count them.
+    The pivot rows have distinct lead columns, each the last column of its
+    row, so they are linearly independent: the row with the largest lead is
+    the only one with an entry there.  Each input row is reduced by integer
+    combinations with pivot rows until it vanishes or becomes a pivot row
+    itself, so every input row lies in the span of the pivots, and every
+    pivot lies in the span of the input rows.  The pivots are thus a basis
+    of the row space, whichever end of a row leads; no back-substitution is
+    needed to count them.  Leading with the last column measured faster
+    than with the first on the middle maps of the WLP verdict path.
     """
-    return len(_forward(rows))
+    return len(_forward(rows, lead=max))
 
 
 def rref_int(rows):

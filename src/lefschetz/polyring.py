@@ -354,10 +354,13 @@ def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
     becomes a ``{column: coefficient}`` row, its columns read off the
     multiple columns of the generator's terms, with its entries in dead
     columns dropped; rows left empty are skipped.  A row left with a single
-    entry is a unit row as well: its column joins the dead ones and the row
-    is dropped, round after round, until no row has a single entry (the
-    first step of structured Gaussian elimination, LaMacchia and Odlyzko,
-    CRYPTO 1990).  So the returned rows have two or more entries each.
+    entry is a unit row as well: its column joins the dead ones and is
+    deleted from the rows that hold it, found through a column -> rows
+    index, and each row this leaves with a single entry is queued in turn,
+    until no row has a single entry (the first step of structured Gaussian
+    elimination, LaMacchia and Odlyzko, CRYPTO 1990).  So the returned rows
+    have two or more entries each, in their original order and with their
+    entries in it.
     """
     dead = set()
     wide = []
@@ -388,15 +391,26 @@ def slice_rows(ideal: IdealPresentation, degree: int) -> tuple:
     # lies in the row space just as a monomial generator's unit rows do: c
     # joins the dead columns and the row is dropped.  Dropping c from the
     # other rows changes each by a multiple of e_c, which keeps the row
-    # space, and may leave another row with one entry, so repeat.
-    while units := {c for row in rows if len(row) == 1 for c in row}:
-        dead |= units
-        rows = [
-            kept
-            for row in rows
-            if (kept := {c: v for c, v in row.items() if c not in units})
-        ]
-    return dead, rows
+    # space, and may leave another row with one entry, which is queued.
+    # A row whose entries only die stays at one entry or none, so the dead
+    # set reached is the same in any order.
+    holders = {}
+    for i, row in enumerate(rows):
+        for col in row:
+            holders.setdefault(col, []).append(i)
+    queue = [i for i, row in enumerate(rows) if len(row) == 1]
+    while queue:
+        row = rows[queue.pop()]
+        if not row:
+            continue  # its entry died after it was queued
+        (col,) = row
+        dead.add(col)
+        for i in holders[col]:
+            other = rows[i]
+            del other[col]
+            if len(other) == 1:
+                queue.append(i)
+    return dead, [row for row in rows if row]
 
 
 def ideal_degree_slice(ideal: IdealPresentation, degree: int) -> DegreeSlice:

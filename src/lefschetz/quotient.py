@@ -422,6 +422,40 @@ class GradedQuotient:
         """Hunt for a linear form with the strong Lefschetz property."""
         return self._search(True, strategy)
 
+    def check_wlp_and_slp(self, strategy: SearchStrategy | None = None) -> tuple:
+        """(wlp, slp): the verdicts and certificates of :meth:`check_wlp`
+        and :meth:`check_slp`, with no WLP scan when the fixed candidate
+        certifies SLP.
+
+        A form with SLP has WLP (Harima-Migliore-Nagel-Watanabe, J. Algebra
+        262 (2003)).  When the SLP search holds by the fixed form, that form
+        has WLP for every criterion of :meth:`_pairs`:
+
+        - under ``pairing`` each map's record is maximal only when its Gram
+          matrix is nonsingular, which makes the square map bijective with
+          no premise (see ``FamilyQuotient._power_scan``), so the square
+          maps of ``narrow`` hold;
+        - ``narrow => full`` (:meth:`_pairs`) then makes every map
+          ×ℓ^k: A_d -> A_{d+k} maximal, as a ``full`` SLP search checks
+          directly; the maps ×ℓ: A_d -> A_{d+1} among them include those of
+          every WLP criterion (``full`` and ``middle``);
+        - :meth:`_search` tries the fixed form first, so :meth:`check_wlp`
+          would hold by it too, with the same verdict and certificate.
+
+        The WLP report is then ``HOLDS`` with the fixed form, the SLP
+        records that prove it and criterion ``slp``.  Not using another
+        criterion, it never reaches a criterion's own checks, such as the
+        unimodality guard of ``middle``.  Otherwise the WLP report is that
+        of :meth:`check_wlp`.  The two searches draw from separate
+        ``random.Random(seed)`` streams, so their order changes no record.
+        """
+        slp = self.check_slp(strategy)
+        if slp.verdict == HOLDS and slp.strategy["certificate"] == "fixed":
+            meta = dict(slp.strategy, criterion="slp")
+            wlp = LefschetzReport(HOLDS, slp.certificate_form, slp.per_map, meta)
+            return wlp, slp
+        return self.check_wlp(strategy), slp
+
 
 @functools.lru_cache(maxsize=None)
 def _product_columns(nvars: int, degree: int, power: int) -> tuple:

@@ -25,9 +25,9 @@ ITEMS = [
 ]
 
 
-def _expected_calls() -> set:
-    """Every traced name some workload expects to be called, read from
-    ``perfbench/workloads.py`` without importing ``perfbench``."""
+def _workloads() -> dict:
+    """``WORKLOADS`` of ``perfbench/workloads.py``, read without importing
+    ``perfbench``."""
     name = "perfbench_workloads_contract"
     spec = importlib.util.spec_from_file_location(
         name, ROOT / "perfbench" / "workloads.py"
@@ -38,14 +38,14 @@ def _expected_calls() -> set:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[name]
-    return {n for w in module.WORKLOADS.values() for n in w.expected_calls}
+    return module.WORKLOADS
 
 
-def test_traced_child_run_reaches_the_kernels():
+def _traced_child_run(items) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     proc = subprocess.run(
-        [sys.executable, "perfbench/child.py", "1", json.dumps(ITEMS)],
+        [sys.executable, "perfbench/child.py", "1", json.dumps(items)],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -56,11 +56,27 @@ def test_traced_child_run_reaches_the_kernels():
     ready, result = proc.stdout.splitlines()
     assert ready == "READY"
     out = json.loads(result)
-    assert out["codes"] == [0, 0, 0, 0], out["errs"]
+    assert out["codes"] == [0] * len(items), out["errs"]
+    return out
+
+
+def test_traced_child_run_reaches_the_kernels():
+    out = _traced_child_run(ITEMS)
     assert out["backend"] == "python"
     calls = out["trace"]["calls"]
     assert calls["kernels.rref_int"] > 0
     assert calls["kernels.det_bareiss"] > 0
-    expected = _expected_calls()
+    expected = {n for w in _workloads().values() for n in w.expected_calls}
     assert "quotient.certify_powers" in expected
     assert sorted(n for n in expected if not calls.get(n)) == []
+
+
+def test_traced_slp_sweep_calls_every_expected_function():
+    """An SLP sweep scans for WLP only on tuples where x - y - z fails SLP;
+    at a <= 3 those are (3, 2, 2, 1, 1) and (3, 2, 3, 1, 1), whose scans
+    still reach every function the ``slp_sweep`` workload expects."""
+    out = _traced_child_run([["sweep", "--a-max", "3", "--seed", "0", "--slp"]])
+    calls = out["trace"]["calls"]
+    expected = _workloads()["slp_sweep"].expected_calls
+    assert "quotient.multiplication_matrix" in expected
+    assert sorted(n for n in expected if not calls[n]) == []

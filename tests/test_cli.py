@@ -371,15 +371,16 @@ def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):
     assert (code, again, err) == (0, out, "")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_sweep_cache_recomputes_old_slp_lines(capsys, tmp_path, version):
     """A sweep --slp line under an older cache version is recomputed, not
     replayed, and the record is appended under the current key.  Version 1
     ranked family SLP maps by multiplication matrices, version 2 read the
     socle functional off slice D and ranked every Gram matrix with the
-    sparse kernel, and version 3 mirrored the Hilbert vector from its
-    lower half."""
-    assert cli.CACHE_VERSION == 4
+    sparse kernel, version 3 mirrored the Hilbert vector from its lower
+    half, and version 4 scanned for WLP even when the fixed form had
+    certified SLP."""
+    assert cli.CACHE_VERSION == 5
     cache = tmp_path / "sweep.jsonl"
     argv = ["sweep", "--a-max", "2", "--slp"]
     code, fresh, _ = run(argv, capsys)

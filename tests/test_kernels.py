@@ -141,13 +141,14 @@ def test_rank_and_rref_match_naive_elimination(rows):
 @settings(max_examples=150)
 def test_forward_pass_rows_are_primitive_with_positive_lead(rows):
     dicts = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    pivots = kernels._forward(dicts)
-    assert len(pivots) == naive_rank(rows)
-    for lead, row in pivots.items():
-        assert min(row) == lead
-        assert row[lead] > 0
-        assert gcd(*row.values()) == 1
-        assert not any(row is d for d in dicts)
+    for pick in (min, max):
+        pivots = kernels._forward(dicts, lead=pick)
+        assert len(pivots) == naive_rank(rows)
+        for lead, row in pivots.items():
+            assert pick(row) == lead
+            assert row[lead] > 0
+            assert gcd(*row.values()) == 1
+            assert not any(row is d for d in dicts)
 
 
 @given(

@@ -677,6 +677,73 @@ def test_symmetric_non_gorenstein_keeps_the_full_wlp_scan():
         assert full_power_scan(q, form) is False
 
 
+def assert_combined_matches_separate(q, fresh, strategy=None) -> bool:
+    """The combined search on ``q`` against separate searches on ``fresh``,
+    a second quotient of the same ideal; True when the WLP scan was
+    skipped."""
+    wlp, slp = q.check_wlp_and_slp(strategy)
+    want_wlp, want_slp = fresh.check_wlp(strategy), fresh.check_slp(strategy)
+    assert slp == want_slp and slp.strategy == want_slp.strategy
+    assert wlp.verdict == want_wlp.verdict
+    assert wlp.certificate_form == want_wlp.certificate_form
+    assert wlp.strategy["certificate"] == want_wlp.strategy["certificate"]
+    skipped = slp.verdict == HOLDS and slp.strategy["certificate"] == "fixed"
+    if skipped:
+        assert wlp.per_map == slp.per_map
+        assert wlp.strategy == dict(slp.strategy, criterion="slp")
+    else:
+        assert wlp == want_wlp and wlp.strategy == want_wlp.strategy
+    return skipped
+
+
+@pytest.mark.parametrize(
+    "strategy", [None, SearchStrategy(trials=2, bound=3)], ids=["default", "small"]
+)
+def test_combined_search_matches_separate_searches_on_family(strategy):
+    skipped = set()
+    for params in family.enumerate_params(6):
+        skipped.add(
+            assert_combined_matches_separate(
+                family.FamilyQuotient(params), family.FamilyQuotient(params), strategy
+            )
+        )
+    assert skipped == {True, False}
+
+
+@pytest.mark.parametrize("text", [BK_IDEAL, SOCLE_KILLED_IDEAL])
+def test_combined_search_matches_separate_searches_on_plain_quotients(text):
+    for strategy in (None, SearchStrategy(trials=2, bound=3)):
+        assert not assert_combined_matches_separate(
+            quotient_of(text), quotient_of(text), strategy
+        )
+
+
+@pytest.mark.parametrize(
+    "key", [(7, 6, 4, 3, 1), (8, 5, 5, 4, 1), (12, 10, 4, 4, 1), (12, 11, 7, 6, 2)]
+)
+def test_fixed_form_wlp_failures_run_the_wlp_search(key):
+    """x - y - z fails WLP on these tuples, so it fails SLP too, and the
+    combined search returns the reports of the separate ones."""
+    params = family.validate(*key)
+    q = family.FamilyQuotient(params)
+    fixed = fixed_candidate(3)
+    assert q.certify(fixed)[0] is False
+    assert q.certify_powers(fixed)[0] is False
+    assert not assert_combined_matches_separate(q, family.FamilyQuotient(params))
+
+
+def test_fixed_form_slp_certificate_skips_the_wlp_scan(monkeypatch):
+    def no_scan(self, strategy=None):
+        raise AssertionError("WLP scanned")
+
+    q = family.FamilyQuotient(family.validate(4, 4, 3, 2, 1))
+    monkeypatch.setattr(GradedQuotient, "check_wlp", no_scan)
+    wlp, slp = q.check_wlp_and_slp()
+    assert wlp.verdict == slp.verdict == HOLDS
+    assert wlp.certificate_form == slp.certificate_form == fixed_candidate(3)
+    assert wlp.strategy["criterion"] == "slp"
+
+
 def test_colon_with_unit_recovers_slice():
     ideal = parse_ideal("x^2, y^2, z^3")
     one = HomogeneousPoly(3, 0, {(0, 0, 0): 1})
