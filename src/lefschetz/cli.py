@@ -53,7 +53,8 @@ CACHE_ENV = "LEFSCHETZ_CACHE_DIR"
 # Gram matrix is tested by its determinant before any rank.
 # Version 4: the Hilbert vector is counted by family.hilbert_vector.
 # Version 5: with SLP, a WLP verdict is read off a fixed-form SLP certificate.
-CACHE_VERSION = 5
+# Version 6: the SLP Gram basis and h are read off the family's monomial basis.
+CACHE_VERSION = 6
 
 CSV_COLUMNS = (
     "a",

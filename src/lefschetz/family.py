@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from functools import cached_property
 from itertools import accumulate, islice, repeat
-from operator import neg, sub
+from operator import neg
 
 from . import exactla
 from .polyring import (
@@ -133,92 +134,80 @@ def build_ideal(params: GorensteinParams) -> IdealPresentation:
     )
 
 
+def basis_rows(params: GorensteinParams) -> list:
+    """The monomial basis B of the family quotient A = R/I, one y exponent
+    at a time: (j, m, n) for each j < b, where x^i y^j z^k lies in B
+    exactly when i < m and k < n.
+
+    Lemma.  Under lex y > x > z the generators g1 = x^a,
+    g2 = y^b - x^(b-gamma) z^gamma, g3 = z^c, g4 = x^(a-b+gamma) y^(b-beta)
+    and g5 = y^(b-beta) z^(c-gamma) of I are a Groebner basis.  Five pairs
+    have coprime leading terms (Buchberger's first criterion) and three,
+    (g1, g4), (g3, g5) and (g4, g5), are monomials.  The other two
+    S-polynomials reduce to 0: S(g2, g4) = x^(a-b+gamma) g2 - y^beta g4 =
+    -x^a z^gamma by g1, and S(g2, g5) = z^(c-gamma) g2 - y^beta g5 =
+    -x^(b-gamma) z^c by g3.  So the monomials outside the initial ideal,
+
+        B = {x^i y^j z^k : i < a, j < b, k < c, and not (j >= b-beta and
+             (i >= a-b+gamma or k >= c-gamma))},
+
+    are a basis of A: row j is i < a, k < c when j < b-beta, and
+    i < a-b+gamma, k < c-gamma otherwise.  B_D = {t_0} for
+    t_0 = x^(a-1) y^(b-1-beta) z^(c-1) and D = ``params.socle_degree``:
+    the rows j >= b-beta stop at degree (a-b+gamma-1) + (b-1) +
+    (c-gamma-1) = a+c-3 < D, and the others at D, reached only by t_0.
+    """
+    a, b, c, beta, gamma = params.as_tuple()
+    return [
+        (j, a, c) if j < b - beta else (j, a - b + gamma, c - gamma)
+        for j in range(b)
+    ]
+
+
+def basis_layer(params: GorensteinParams, degree: int) -> list:
+    """B_degree: the monomials of the basis B of :func:`basis_rows` in this
+    degree, as exponent tuples in increasing order."""
+    return sorted(
+        (i, j, degree - i - j)
+        for j, m, n in basis_rows(params)
+        for i in range(m)
+        if 0 <= degree - i - j < n
+    )
+
+
+def hilbert_vector(params: GorensteinParams) -> tuple:
+    """The Hilbert values h(0..D) of the family quotient A = R/I, counted
+    on the basis B of :func:`basis_rows`.  Row j of B, the x^i y^j z^k with
+    i < m and k < n, has generating function t^j (1-t^m)(1-t^n) / (1-t)^2:
+    each row adds its four numerator terms to one array, and two running
+    sums divide by (1-t)^2.  B has no monomial above degree D."""
+    second = [0] * (params.a + params.b + params.c)
+    for j, m, n in basis_rows(params):
+        second[j] += 1
+        second[j + m] -= 1
+        second[j + n] -= 1
+        second[j + m + n] += 1
+    return tuple(accumulate(accumulate(second)))[: params.socle_degree + 1]
+
+
 def socle_monomials(params: GorensteinParams) -> tuple:
     """The degree-D monomials t_q = x^(a-1-q(b-gamma)) y^((q+1)b-1-beta)
     z^(c-1-q gamma), q >= 0 while every exponent is nonnegative.
 
-    The socle functional phi: R_D -> K of the family quotient A = R/I is 1
-    on each t_q and 0 on every other degree-D monomial:
-
-    - Under lex y > x > z the generators x^a, y^b - x^(b-gamma) z^gamma and
-      z^c of the complete intersection J are a Groebner basis, because
-      their leading terms x^a, y^b and z^c are pairwise coprime
-      (Buchberger's first criterion).  Replacing y^b by x^(b-gamma)
-      z^gamma until the y exponent is below b, and dropping the monomial
-      once its x exponent reaches a or its z exponent reaches c, sends a
-      monomial to 0 or to one box monomial x^i y^j z^k (i < a, j < b,
-      k < c) with coefficient 1, and that is its normal form NF_J.
-    - Let phi(f) be the coefficient of NF_J(y^beta f) on the corner
-      x^(a-1) y^(b-1) z^(c-1).  Then y^beta x^i y^j z^k reduces to the
-      corner exactly when j + beta = (q+1)b - 1, i + q(b-gamma) = a - 1 and
-      k + q gamma = c - 1 for some q >= 0, that is, for the monomial t_q.
-    - phi vanishes on I_D: NF_J is linear and 0 on J, and y^beta times
-      each of the five generators of I lies in J.  It is plain for x^a,
-      y^b - x^(b-gamma) z^gamma and z^c; y^beta x^(a-b+gamma) y^(b-beta) is
-      x^a z^gamma modulo J, and y^beta y^(b-beta) z^(c-gamma) is
-      x^(b-gamma) z^c.
-    - phi(t_0) = 1, so phi is nonzero on A_D.
-
-    So phi is a nonzero functional on A_D, with no premise on A.  When A
-    is Gorenstein of socle degree D, A_D is one-dimensional and phi spans
-    its dual, as the functional read off slice D does.
+    The socle functional phi: R_D -> K, the coefficient on t_0 of the
+    normal form NF_I by the Groebner basis of :func:`basis_rows`, is 1 on
+    each t_q and 0 on every other degree-D monomial w = x^i y^j z^k.
+    Reducing by g2 floor(j/b) times takes w to a monomial w' with y
+    exponent below b and NF_I(w') = NF_I(w), and w' = t_0 exactly when w
+    is a t_q.  Any other w' lies outside B_D = {t_0}, so one of the
+    monomial generators x^a, z^c, g4, g5 divides it and NF_I(w) = 0.
+    NF_I is linear and vanishes on I, so phi spans the dual of A_D = K t_0.
     """
     a, b, c, beta, gamma = params.as_tuple()
-    out = []
-    x, z = a - 1, c - 1
-    y = b - 1 - beta
-    while x >= 0 and z >= 0:
-        out.append((x, y, z))
-        x, y, z = x - (b - gamma), y + b, z - gamma
-    return tuple(out)
-
-
-def _diagonals(p: int, q: int) -> list:
-    """Entry s is #{(i, k) : i + k = s, 0 <= i < p, 0 <= k < q}, for the
-    degrees s = 0..p+q-2 where it is positive."""
-    return [min(s + 1, p, q, p + q - 1 - s) for s in range(p + q - 1)]
-
-
-def _y_windows(xz: list, width: int) -> list:
-    """Entry s is xz[s] + xz[s-1] + ... + xz[s-width+1], entries below 0
-    counting 0: the number of degree-s monomials x^i y^j z^k with
-    j < width whose x, z part is one of the xz[s-j] of degree s - j."""
-    sums = list(accumulate(xz))
-    return list(map(sub, sums, [0] * width + sums[: len(sums) - width]))
-
-
-def _hilbert_terms(params: GorensteinParams) -> tuple:
-    """(dims of R/J, dims of R/(J + y^beta)) in degrees 0..a+b+c-3: the sums
-    over j < b of ac(s-j) = #{i < a, k < c, i + k = s-j}, and over j < beta
-    of N(s-j), ac less the corner count; see :func:`hilbert_vector`."""
-    a, b, c, beta, gamma = params.as_tuple()
-    ac = _diagonals(a, c) + [0] * (b - 1)
-    # the x^i z^k with i >= b-gamma and k >= gamma: x^(b-gamma) z^gamma
-    # times a box of sides a-b+gamma and c-gamma
-    corner = [0] * b + _diagonals(a - b + gamma, c - gamma) + [0] * (b - 1)
-    return _y_windows(ac, b), _y_windows(list(map(sub, ac, corner)), beta)
-
-
-def hilbert_vector(params: GorensteinParams) -> tuple:
-    """The Hilbert values h(0..D) of the family quotient A = R/I, counted.
-
-    Let J = (x^a, y^b - x^(b-gamma) z^gamma, z^c), so that I = J : y^beta
-    and multiplication by y^beta gives the exact sequence
-    0 -> A(-beta) -> R/J -> R/(J + y^beta) -> 0.  As beta < b, y^b lies in
-    (y^beta), so J + (y^beta) = (x^a, z^c, y^beta, x^(b-gamma) z^gamma) is
-    monomial.  The leading terms x^a, y^b and z^c of J are pairwise coprime
-    under lex y > x > z, so R/J has the box basis x^i y^j z^k, i < a,
-    j < b, k < c, of the complete intersection.  Hence
-
-        h(d) = #box(a, b, c)_(d+beta) - sum_(j < beta) N(d + beta - j),
-
-    where N(s) counts the pairs (i, k) with i + k = s, i < a, k < c and not
-    both i >= b-gamma and k >= gamma.  Each term is a window sum, over the
-    y exponent j, of such interval counts (:func:`_hilbert_terms`).
-    """
-    box, monomial = _hilbert_terms(params)
-    beta = params.beta
-    return tuple(map(sub, box[beta:], monomial[beta:]))
+    return tuple(
+        (a - 1 - q * (b - gamma), (q + 1) * b - 1 - beta, c - 1 - q * gamma)
+        for q in range(min((a - 1) // (b - gamma), (c - 1) // gamma) + 1)
+    )
 
 
 class FamilyQuotient(GradedQuotient):
@@ -231,20 +220,26 @@ class FamilyQuotient(GradedQuotient):
     Gorenstein.  R/J has socle degree a+b+c-3, and the socle degree of
     R/(J : f) is (a+b+c-3) - deg f, which is D = ``params.socle_degree``.
 
-    So h is counted by :func:`hilbert_vector` and phi read off
-    :func:`socle_monomials`, neither building a slice; WLP is decided by
-    the middle map and SLP by the socle pairing (:meth:`_pairs`,
+    So h is counted from the basis B of :func:`basis_rows` and phi read
+    off :func:`socle_monomials`, neither building a slice; WLP is decided
+    by the middle map and SLP by the socle pairing over B (:meth:`_pairs`,
     :meth:`_power_scan`).  The premise-free :class:`GradedQuotient` is the
     reference they are tested against.  Only these private hooks are
     overridden; the public verdict methods are those of the base class.
+    The ideal is built when first read; on these paths only a slice reads it.
     """
 
     def __init__(self, params: GorensteinParams):
-        GradedQuotient.__init__(
-            self, build_ideal(params), degree_cap=params.a + params.b + params.c
-        )
+        # the state of GradedQuotient.__init__, less the ideal
+        self.nvars = 3
+        self.degree_cap = params.a + params.b + params.c
+        self._slices = {}
         self.params = params
         self._hilbert = HilbertData(hilbert_vector(params))
+
+    @cached_property
+    def ideal(self) -> IdealPresentation:
+        return build_ideal(self.params)
 
     def _pairs(self, strong: bool) -> tuple:
         """(criterion, [(power, degree), ...]) as in
@@ -296,28 +291,31 @@ class FamilyQuotient(GradedQuotient):
 
         Let M = ×ℓ^{D-2i} and P: A_{D-i} -> (A_i)^*, P(w)(u) = φ(u·w),
         with φ from :meth:`_socle_functional`.  The Gram matrix
-        G_i[u, v] = φ(ℓ^{D-2i}·u·v) over the standard monomials u, v of
-        A_i is the matrix of P∘M, so rank G_i <= rank M for any quotient:
-        a nonsingular G_i proves M bijective even if the premise is false.
-        Under the premise P is the perfect pairing of a Gorenstein quotient
+        G_i[u, v] = φ(ℓ^{D-2i}·u·v) over the basis B_i of A_i
+        (:func:`basis_layer`) is the matrix of P∘M, so rank G_i <= rank M.
+        A nonsingular Gram over any h_i elements of A_i makes them and their
+        images independent, so it proves M bijective when
+        dim A_i = dim A_{D-i} = h_i, with no further premise.  Under the
+        premise P is the perfect pairing of a Gorenstein quotient
         (Maeno-Watanabe, Illinois J. Math. 53 (2009)), an isomorphism, so
-        rank G_i = rank M and the records are those of :meth:`_scan`.
+        rank G_i = rank M and the records are those of :meth:`_scan`.  Over
+        another basis of A_i, such as the standard monomials of slice i, the
+        Gram is QᵀG_iQ with Q invertible, which is singular exactly when
+        G_i is and has its rank: no record depends on the basis.
 
         G_i is square and dense, and most are nonsingular (190 of the 194
         that x - y - z gives at a <= 4), so each is built as dense rows and
         tested by :func:`exactla.determinant`, which runs faster on dense
         rows than the sparse rank kernel.  A nonzero determinant gives
         rank h_i; only a singular G_i is ranked by :func:`exactla.rank`.
-        G_i lists its basis in increasing tuple order, the reverse of
-        :func:`monomial_basis` order.  That is a symmetric permutation
-        P·G_i·Pᵀ, with the same determinant and rank, so no record changes;
-        ``det_bareiss`` just runs faster on it (why was not measured).
+        B_i is in increasing tuple order, on which ``det_bareiss`` was
+        measured faster than on the reverse order.
 
         Φ_j(w) = φ(ℓ^j·w), on the degree-(D-j) basis, follows from
         Φ_j(w) = Σ_v ℓ_v·Φ_{j-1}(w·x_v), one degree at a time, so no power
         of ℓ is expanded and no product is reduced.
         """
-        nvars, top = self.ideal.nvars, self.params.socle_degree
+        nvars, top = self.nvars, self.params.socle_degree
         # x_v's coefficient and the degree-one basis are both in variable order
         terms = [
             (c, x) for c, x in zip(form.coefficients, monomial_basis(nvars, 1)) if c
@@ -331,13 +329,11 @@ class FamilyQuotient(GradedQuotient):
                 for c, x in terms
             ]
             phi = levels[j] = list(map(sum, zip(*parts)))
-        h, ranks = self.hilbert_data().h, []
+        ranks = []
         for power, d in pairs:
             phi, table = levels[power], _product_columns(nvars, d, d)
-            # h(d) = dim R_d means I_d = 0, so every column is standard
-            full = h[d] == len(monomial_basis(nvars, d))
-            std = range(h[d]) if full else self.slice(d).standard_columns
-            std = std[::-1]
+            index = _basis_index(nvars, d)
+            std = [index[t] for t in basis_layer(self.params, d)]
             gram = [[phi[table[u][v]] for v in std] for u in std]
             if exactla.determinant(gram):
                 ranks.append(len(std))

@@ -191,6 +191,7 @@ class GradedQuotient:
         if degree_cap < 1:
             raise ValueError("degree cap must be positive")
         self.ideal = ideal
+        self.nvars = ideal.nvars
         self.degree_cap = degree_cap
         self._slices = {}
         self._hilbert = None
@@ -232,7 +233,7 @@ class GradedQuotient:
         # If no generator has a nonzero x_j^deg term, every generator
         # vanishes at the coordinate point e_j, so R/I maps onto K[x_j] and
         # h(d) >= 1 in every degree: no scan can reach a zero.
-        nvars, gens = self.ideal.nvars, self.ideal.generators
+        nvars, gens = self.nvars, self.ideal.generators
         for j in range(nvars):
             unit = tuple(int(i == j) for i in range(nvars))
             if not any(
@@ -370,7 +371,7 @@ class GradedQuotient:
     _power_scan = _scan
 
     def _check_form(self, form: LinearForm) -> None:
-        if form.nvars != self.ideal.nvars:
+        if form.nvars != self.nvars:
             raise ValueError("form variable count mismatch")
 
     def certify(self, form: LinearForm) -> tuple:
@@ -399,14 +400,14 @@ class GradedQuotient:
             "seed": strategy.seed,
             "criterion": self._pairs(strong)[0],
         }
-        fixed = fixed_candidate(self.ideal.nvars)
+        fixed = fixed_candidate(self.nvars)
         ok, per = scan(fixed)
         if ok:
             meta.update(certificate="fixed", random_trials_used=0)
             return LefschetzReport(HOLDS, fixed, per, meta)
         rng = random.Random(strategy.seed)
         for t in range(strategy.trials):
-            form = _random_form(rng, self.ideal.nvars, strategy.bound)
+            form = _random_form(rng, self.nvars, strategy.bound)
             ok, per = scan(form)
             if ok:
                 meta.update(certificate="random", random_trials_used=t + 1)

@@ -371,16 +371,17 @@ def test_sweep_cache_recomputes_other_versions(capsys, tmp_path):
     assert (code, again, err) == (0, out, "")
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 def test_sweep_cache_recomputes_old_slp_lines(capsys, tmp_path, version):
     """A sweep --slp line under an older cache version is recomputed, not
     replayed, and the record is appended under the current key.  Version 1
     ranked family SLP maps by multiplication matrices, version 2 read the
     socle functional off slice D and ranked every Gram matrix with the
     sparse kernel, version 3 mirrored the Hilbert vector from its lower
-    half, and version 4 scanned for WLP even when the fixed form had
-    certified SLP."""
-    assert cli.CACHE_VERSION == 5
+    half, version 4 scanned for WLP even when the fixed form had
+    certified SLP, and version 5 built each Gram over the standard
+    monomials of a slice and counted h by window sums."""
+    assert cli.CACHE_VERSION == 6
     cache = tmp_path / "sweep.jsonl"
     argv = ["sweep", "--a-max", "2", "--slp"]
     code, fresh, _ = run(argv, capsys)

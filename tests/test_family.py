@@ -11,7 +11,7 @@ from lefschetz.family import (
     GorensteinParams,
     ParameterError,
     SnMatrix,
-    _hilbert_terms,
+    basis_layer,
     build_ci,
     build_ideal,
     classify,
@@ -23,10 +23,11 @@ from lefschetz.family import (
     uncovered_params,
     validate,
 )
-from lefschetz.polyring import parse_ideal
+from lefschetz.exactla import rank
+from lefschetz.polyring import HomogeneousPoly, parse_ideal
 from lefschetz.quotient import GradedQuotient
+from package_oracles import quotient_vector
 from value_oracles import (
-    ci_hilbert,
     gauss_det,
     laplace_det,
     monomial_quotient_dims,
@@ -202,19 +203,58 @@ def family_params(draw, a_max=12):
 
 @settings(max_examples=80, deadline=None)
 @given(family_params())
-def test_hilbert_terms_match_the_oracles(p):
-    """The two terms of h(d) = #box_(d+beta) - dim R/(J + y^beta)_(d+beta)
-    against the complete intersection's generating function and a count
-    of the monomials outside (x^a, z^c, y^beta, x^(b-gamma) z^gamma)."""
+def test_hilbert_vector_counts_the_lex_standard_monomials(p):
+    """h against a count of the monomials outside the lex initial ideal
+    (x^a, y^b, z^c, x^(a-b+gamma) y^(b-beta), y^(b-beta) z^(c-gamma)),
+    which is 0 in degree D+1."""
     a, b, c, beta, gamma = p.as_tuple()
-    top = a + b + c - 3
-    box, monomial = _hilbert_terms(p)
-    assert box == ci_hilbert(a, b, c)[: top + 1]
-    generators = [(a, 0, 0), (0, 0, c), (0, beta, 0), (b - gamma, 0, gamma)]
-    assert monomial == monomial_quotient_dims(generators, 3, top)
-    # and past the scanned sizes, h keeps the Gorenstein shape
+    top = p.socle_degree
+    initial = [
+        (a, 0, 0),
+        (0, b, 0),
+        (0, 0, c),
+        (a - b + gamma, b - beta, 0),
+        (0, b - beta, c - gamma),
+    ]
+    counts = monomial_quotient_dims(initial, 3, top + 1)
     h = hilbert_vector(p)
-    assert len(h) == p.socle_degree + 1 and h[0] == 1 and h == h[::-1]
+    assert list(h) == counts[:-1] and counts[-1] == 0
+    # and past the scanned sizes, h keeps the Gorenstein shape
+    assert len(h) == top + 1 and h[0] == 1 and h == h[::-1]
+
+
+def test_basis_layers_are_bases_of_the_quotient():
+    """The residues of B_d modulo slice d have rank h(d), for every degree
+    of every tuple with a <= 5."""
+    tuples = 0
+    for p in enumerate_params(5):
+        q = GradedQuotient(build_ideal(p), degree_cap=p.a + p.b + p.c)
+        h = hilbert_vector(p)
+        for d in range(p.socle_degree + 1):
+            layer = basis_layer(p, d)
+            assert len(layer) == h[d] and layer == sorted(layer)
+            residues = [
+                quotient_vector(q, HomogeneousPoly.monomial(3, t)) for t in layer
+            ]
+            assert rank(residues) == h[d], (p.as_tuple(), d)
+        tuples += 1
+    assert tuples == 200
+
+
+def test_basis_is_mapped_by_the_x_z_swap():
+    """For a = c, swapping x and z maps B of (a, b, a, beta, gamma) onto B
+    of (a, b, a, beta, b - gamma), as it maps the ideals."""
+    pairs = 0
+    for p in enumerate_params(7):
+        a, b, c, beta, gamma = p.as_tuple()
+        if a != c:
+            continue
+        mirror = validate(a, b, a, beta, b - gamma)
+        for d in range(p.socle_degree + 1):
+            swapped = sorted((k, j, i) for i, j, k in basis_layer(p, d))
+            assert swapped == basis_layer(mirror, d), (p.as_tuple(), d)
+        pairs += 1
+    assert pairs == 441
 
 
 def test_sn_matrix_layout():

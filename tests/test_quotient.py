@@ -375,18 +375,20 @@ def test_family_wlp_builds_only_the_middle_slices():
         assert sorted(q._slices) == [middle, middle + 1], key
 
 
-def test_family_slp_builds_no_slice_of_a_full_degree():
-    """The pairing reads slice i only where I_i is not zero, that is where
-    h(i) < dim R_i, for the square maps A_i -> A_{D-i}, i < (D+1)/2."""
-    full = 0
+def test_family_slp_builds_no_slice_and_no_ideal():
+    """The pairing reads the basis of each A_i off the family's monomial
+    basis, so an SLP search builds no slice, and so never builds the
+    ideal either."""
     for params in family.enumerate_params(5):
         q = family.FamilyQuotient(params)
         q.check_slp()
-        h, top = q.hilbert_data().h, params.socle_degree
-        low = [d for d in range((top + 1) // 2) if h[d] < len(monomial_basis(3, d))]
-        assert sorted(q._slices) == low, params.as_tuple()
-        full += (top + 1) // 2 - len(low)
-    assert full > 0
+        assert q._slices == {}, params.as_tuple()
+        assert "ideal" not in vars(q), params.as_tuple()
+    # reading the ideal builds it once, and then the quotient has the
+    # state of the reference quotient, plus its parameters
+    ideal = q.ideal
+    assert q.ideal is ideal and ideal == family.build_ideal(params)
+    assert set(vars(q)) == set(vars(plain_quotient(params))) | {"params"}
 
 
 def test_x_z_swap_pairs_share_h_and_middle_ranks():
