@@ -17,17 +17,11 @@ import random
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import accumulate, islice, repeat
-from operator import neg
+from operator import mul, neg
 
 from . import exactla
-from .polyring import (
-    HomogeneousPoly,
-    IdealPresentation,
-    _basis_index,
-    monomial_basis,
-    multiple_columns,
-)
-from .quotient import GradedQuotient, HilbertData, LinearForm, _product_columns
+from .polyring import HomogeneousPoly, IdealPresentation
+from .quotient import GradedQuotient, HilbertData, LinearForm
 from .record import Record
 
 
@@ -210,6 +204,40 @@ def socle_monomials(params: GorensteinParams) -> tuple:
     )
 
 
+def pairing_gram(params: GorensteinParams, form: LinearForm, degree: int) -> list:
+    """The Gram matrix G[u, v] = φ(ℓ^m·u·v), m = D - 2·degree, of the socle
+    pairing over B_degree (:func:`basis_layer`), as dense rows.
+
+    ℓ^m is the sum of m!/(e_x! e_y! e_z!)·ℓ_x^e_x·ℓ_y^e_y·ℓ_z^e_z·x^e over
+    |e| = m (the multinomial theorem), and φ is 1 on each t_q of
+    :func:`socle_monomials` and 0 on every other degree-D monomial, so
+    φ(ℓ^m·w) is that coefficient summed over the t_q with e = t_q - w >= 0.
+    It is summed once for each w of degree 2·degree that divides a t_q, and
+    the entry of (u, v) reads it at w = u·v.  Over another basis of
+    A_degree, such as the standard monomials of a slice, the Gram is QᵀGQ
+    with Q invertible: singular exactly when G is, and of the same rank.
+    """
+    stride = 2 * degree + 1
+    m = params.socle_degree - 2 * degree
+    fact = list(accumulate(range(1, m + 1), mul, initial=1))
+    px, py, pz = (
+        list(accumulate(repeat(c, m), mul, initial=1)) for c in form.coefficients
+    )
+    # φ(ℓ^m·w) for w = x^i y^j z^k at index i·stride + j: w's exponents
+    # are below the stride, so the index of u·v is that of u plus that of v
+    phi = [0] * stride**2
+    for tx, ty, tz in socle_monomials(params):
+        for ex in range(min(tx, m) + 1):
+            for ey in range(max(0, m - ex - tz), min(ty, m - ex) + 1):
+                ez = m - ex - ey
+                phi[(tx - ex) * stride + ty - ey] += (
+                    fact[m] // (fact[ex] * fact[ey] * fact[ez])
+                    * px[ex] * py[ey] * pz[ez]
+                )
+    keys = [i * stride + j for i, j, _ in basis_layer(params, degree)]
+    return [[phi[u + v] for v in keys] for u in keys]
+
+
 class FamilyQuotient(GradedQuotient):
     """The quotient A = R/I of a family tuple, with the verdict paths that
     its being Artinian Gorenstein licenses.
@@ -220,13 +248,15 @@ class FamilyQuotient(GradedQuotient):
     Gorenstein.  R/J has socle degree a+b+c-3, and the socle degree of
     R/(J : f) is (a+b+c-3) - deg f, which is D = ``params.socle_degree``.
 
-    So h is counted from the basis B of :func:`basis_rows` and phi read
-    off :func:`socle_monomials`, neither building a slice; WLP is decided
-    by the middle map and SLP by the socle pairing over B (:meth:`_pairs`,
-    :meth:`_power_scan`).  The premise-free :class:`GradedQuotient` is the
-    reference they are tested against.  Only these private hooks are
-    overridden; the public verdict methods are those of the base class.
-    The ideal is built when first read; on these paths only a slice reads it.
+    So h is counted from the basis B of :func:`basis_rows`, and each Gram
+    matrix of the socle pairing is read in closed form off B and
+    :func:`socle_monomials` (:func:`pairing_gram`), neither building a
+    slice; WLP is decided by the middle map and SLP by those Grams
+    (:meth:`_pairs`, :meth:`_power_scan`).  The premise-free
+    :class:`GradedQuotient` is the reference they are tested against.
+    Only these private hooks are overridden; the public verdict methods are
+    those of the base class.  The ideal is built when first read; on these
+    paths only a slice reads it.
     """
 
     def __init__(self, params: GorensteinParams):
@@ -276,67 +306,34 @@ class FamilyQuotient(GradedQuotient):
             )
         return "middle", pairs
 
-    def _socle_functional(self) -> list:
-        """phi: R_D -> K as one value per degree-D basis column: 1 on the
-        monomials of :func:`socle_monomials`, 0 elsewhere."""
-        index = _basis_index(3, self.params.socle_degree)
-        phi = [0] * len(index)
-        for t in socle_monomials(self.params):
-            phi[index[t]] = 1
-        return phi
-
     def _power_scan(self, form: LinearForm, pairs) -> tuple:
         """(holds, records) for the square maps ×ℓ^{D-2i}: A_i -> A_{D-i}
         of :meth:`_pairs`, ranked through the socle pairing.
 
         Let M = ×ℓ^{D-2i} and P: A_{D-i} -> (A_i)^*, P(w)(u) = φ(u·w),
-        with φ from :meth:`_socle_functional`.  The Gram matrix
+        with φ from :func:`socle_monomials`.  The Gram matrix
         G_i[u, v] = φ(ℓ^{D-2i}·u·v) over the basis B_i of A_i
-        (:func:`basis_layer`) is the matrix of P∘M, so rank G_i <= rank M.
+        (:func:`pairing_gram`) is the matrix of P∘M, so rank G_i <= rank M.
         A nonsingular Gram over any h_i elements of A_i makes them and their
         images independent, so it proves M bijective when
         dim A_i = dim A_{D-i} = h_i, with no further premise.  Under the
         premise P is the perfect pairing of a Gorenstein quotient
         (Maeno-Watanabe, Illinois J. Math. 53 (2009)), an isomorphism, so
-        rank G_i = rank M and the records are those of :meth:`_scan`.  Over
-        another basis of A_i, such as the standard monomials of slice i, the
-        Gram is QᵀG_iQ with Q invertible, which is singular exactly when
-        G_i is and has its rank: no record depends on the basis.
+        rank G_i = rank M and the records are those of :meth:`_scan`.
 
         G_i is square and dense, and most are nonsingular (190 of the 194
-        that x - y - z gives at a <= 4), so each is built as dense rows and
-        tested by :func:`exactla.determinant`, which runs faster on dense
-        rows than the sparse rank kernel.  A nonzero determinant gives
-        rank h_i; only a singular G_i is ranked by :func:`exactla.rank`.
-        B_i is in increasing tuple order, on which ``det_bareiss`` was
-        measured faster than on the reverse order.
-
-        Φ_j(w) = φ(ℓ^j·w), on the degree-(D-j) basis, follows from
-        Φ_j(w) = Σ_v ℓ_v·Φ_{j-1}(w·x_v), one degree at a time, so no power
-        of ℓ is expanded and no product is reduced.
+        that x - y - z gives at a <= 4), so each is tested by
+        :func:`exactla.determinant`, which runs faster on dense rows than
+        the sparse rank kernel.  A nonzero determinant gives rank h_i; only
+        a singular G_i is ranked by :func:`exactla.rank`.  B_i is in
+        increasing tuple order, on which ``det_bareiss`` was measured
+        faster than on the reverse order.
         """
-        nvars, top = self.nvars, self.params.socle_degree
-        # x_v's coefficient and the degree-one basis are both in variable order
-        terms = [
-            (c, x) for c, x in zip(form.coefficients, monomial_basis(nvars, 1)) if c
-        ]
-        phi = self._socle_functional()
-        levels = {}
-        for j in range(1, max((power for power, _ in pairs), default=0) + 1):
-            # the k-th multiple of x_v is x_v times the k-th basis monomial
-            parts = [
-                [c * phi[k] for k in multiple_columns(x, top - j + 1)]
-                for c, x in terms
-            ]
-            phi = levels[j] = list(map(sum, zip(*parts)))
         ranks = []
-        for power, d in pairs:
-            phi, table = levels[power], _product_columns(nvars, d, d)
-            index = _basis_index(nvars, d)
-            std = [index[t] for t in basis_layer(self.params, d)]
-            gram = [[phi[table[u][v]] for v in std] for u in std]
+        for _, d in pairs:
+            gram = pairing_gram(self.params, form, d)
             if exactla.determinant(gram):
-                ranks.append(len(std))
+                ranks.append(len(gram))
             else:
                 ranks.append(exactla.rank(dict(enumerate(row)) for row in gram))
         return self._records(pairs, ranks)

@@ -1,11 +1,12 @@
 """Second routes to values the package computes another way.
 
 Colon-ideal slice dimensions, residue membership after a linear form's
-zero locus is substituted, kernel vectors, residue coordinates and the
-socle functional read off slice D.  They are built on the package, and
-only tests call them: acceptance 2 checks I = J : y^beta with
-:func:`colon_slice_dim`, and the residue test of acceptance 8 uses
-:func:`eliminate_linear_form` and :func:`residue_membership`.
+zero locus is substituted, kernel vectors, residue coordinates, the socle
+functional read off slice D and the column of each monomial of a degree
+basis.  They are built on the package, and only tests call them:
+acceptance 2 checks I = J : y^beta with :func:`colon_slice_dim`, and the
+residue test of acceptance 8 uses :func:`eliminate_linear_form` and
+:func:`residue_membership`.
 
 They are kept apart from ``value_oracles.py``, which shares no code with
 the package and which ``perfbench/workloads.py`` loads into the measuring
@@ -16,17 +17,24 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import lru_cache
 
 from lefschetz import exactla
 from lefschetz.exactla import rref
 from lefschetz.polyring import (
     HomogeneousPoly,
     IdealPresentation,
-    _basis_index,
     ideal_degree_slice,
     monomial_basis,
 )
 from lefschetz.quotient import GradedQuotient, _multiply_into
+
+
+@lru_cache(maxsize=None)
+def _basis_index(nvars: int, degree: int) -> dict:
+    """The column of each degree-``degree`` monomial in
+    :func:`monomial_basis` order."""
+    return {m: i for i, m in enumerate(monomial_basis(nvars, degree))}
 
 
 class ZeroCoefficientError(ValueError):

@@ -11,7 +11,6 @@ from lefschetz.exactla import rank
 from lefschetz.polyring import (
     HomogeneousPoly,
     IdealPresentation,
-    _basis_index,
     ideal_degree_slice,
     mono_mul,
     monomial_basis,
@@ -31,6 +30,7 @@ from lefschetz.quotient import (
     fixed_candidate,
 )
 from package_oracles import (
+    _basis_index,
     colon_slice_dim,
     quotient_vector,
     residue_membership,
@@ -504,49 +504,64 @@ def pairing_and_scan(q, form):
     return q.certify_powers(form), q._scan(form, pairs)
 
 
-class SliceDQuotient(family.FamilyQuotient):
-    """A family quotient whose socle pairing reads φ off slice D."""
-
-    def _socle_functional(self):
-        return slice_d_functional(self)
-
-
-def test_pairing_matches_matrix_scan_on_family():
-    """Both sources of the socle functional, slice D and
-    :func:`family.socle_monomials`, give the records of the matrix scan."""
+def pairing_forms():
+    """x - y - z, the variables, x + y and two random forms."""
     rng = random.Random("pairing")
     x, y, z = LinearForm((1, 0, 0)), LinearForm((0, 1, 0)), LinearForm((0, 0, 1))
-    forms = [fixed_candidate(3), x, y, z, LinearForm((1, 1, 0))] + [
+    return [fixed_candidate(3), x, y, z, LinearForm((1, 1, 0))] + [
         LinearForm([rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3)])
         for _ in range(2)
     ]
+
+
+def test_pairing_matches_matrix_scan_on_family():
+    """The socle pairing gives the records of the matrix scan."""
+    forms = pairing_forms()
     checks = 0
     verdicts = set()
     for params in family.enumerate_params(5):
-        q = SliceDQuotient(params)
         fq = family.FamilyQuotient(params)
         for form in forms:
-            pairing, scan = pairing_and_scan(q, form)
+            pairing, scan = pairing_and_scan(fq, form)
             assert pairing == scan, (params.as_tuple(), form)
-            assert fq.certify_powers(form) == scan, (params.as_tuple(), form)
             verdicts.add(pairing[0])
             checks += 1
     assert checks == 1400 and verdicts == {True, False}
 
 
-def test_family_socle_functional_is_the_slice_d_functional():
-    """φ read off :func:`family.socle_monomials` is a nonzero multiple of
-    the functional read off slice D, for every tuple with a <= 6."""
-    tuples = 0
-    for params in family.enumerate_params(6):
+def test_pairing_gram_is_the_slice_d_functional():
+    """Each entry of :func:`family.pairing_gram` is φ(ℓ^m·u·v), with φ read
+    off slice D by the oracle, for every tuple with a <= 5, every level of
+    the socle pairing and eight forms, one of them with Fraction
+    coefficients."""
+    forms = pairing_forms() + [LinearForm((Fraction(1, 2), -1, Fraction(3, 7)))]
+    powers = {}
+    grams = 0
+    for params in family.enumerate_params(5):
         fq = family.FamilyQuotient(params)
-        (s,) = fq.slice(params.socle_degree).standard_columns
-        generic = slice_d_functional(fq)
-        phi = fq._socle_functional()
-        assert phi[s] != 0, params.as_tuple()
-        assert phi == [phi[s] * v for v in generic], params.as_tuple()
-        tuples += 1
-    assert tuples == 525
+        phi = slice_d_functional(fq)
+        index = _basis_index(3, params.socle_degree)
+        for form in forms:
+            for m, d in fq._pairs(True)[1]:
+                if (form, m) not in powers:
+                    powers[form, m] = form.to_poly() ** m
+                power = powers[form, m]
+                layer = family.basis_layer(params, d)
+                gram = family.pairing_gram(params, form, d)
+                assert len(gram) == len(layer)
+                values = {}
+                for u, row in zip(layer, gram):
+                    assert len(row) == len(layer)
+                    for v, entry in zip(layer, row):
+                        w = mono_mul(u, v)
+                        if w not in values:
+                            values[w] = sum(
+                                c * phi[index[mono_mul(t, w)]]
+                                for t, c in power.terms.items()
+                            )
+                        assert entry == values[w], (params.as_tuple(), form, u, v)
+                grams += 1
+    assert grams == 8 * 838
 
 
 def test_socle_monomials_of_one_tuple():
@@ -732,6 +747,28 @@ def test_fixed_form_wlp_failures_run_the_wlp_search(key):
     assert q.certify(fixed)[0] is False
     assert q.certify_powers(fixed)[0] is False
     assert not assert_combined_matches_separate(q, family.FamilyQuotient(params))
+
+
+@pytest.mark.parametrize(
+    "key, slp",
+    [
+        ((14, 15, 11, 8, 4), False),
+        ((15, 12, 6, 7, 1), True),
+        ((17, 16, 10, 9, 3), False),
+        ((18, 15, 4, 5, 1), True),
+    ],
+)
+def test_fixed_form_wlp_failures_above_a_12_hold_by_a_random_form(key, slp):
+    """The four tuples with 12 < a <= 18 on which x - y - z fails WLP.  A
+    random form certifies WLP on each and, where ``slp`` is set, SLP, which
+    runs the socle pairing at D = 23 and D = 29 with coefficients up to
+    10^4.  SLP on the other two takes seconds, so it is left out."""
+    q = family.FamilyQuotient(family.validate(*key))
+    assert q.certify(fixed_candidate(3))[0] is False
+    reports = [q.check_wlp()] + ([q.check_slp()] if slp else [])
+    for report in reports:
+        assert report.verdict == HOLDS
+        assert report.strategy["certificate"] == "random"
 
 
 def test_fixed_form_slp_certificate_skips_the_wlp_scan(monkeypatch):
